@@ -11,6 +11,7 @@ from .errors import (
     CCSymError,
     IndeterminateAtPrecision,
     InsufficientPrecision,
+    InvariantViolation,
     MixedFields,
     MixedRings,
     NonUnit,

@@ -30,7 +30,6 @@ from .projline import (
     weil_check,
 )
 from .rings import PrimeField, RationalField, TruncatedPolynomialRing
-from .series import DEFAULT_PRECISION
 from .suites import SUITES, SuiteConfig, run_suite
 from .symbols import contou_carrere, kato_residue, witt_decompose
 
@@ -42,30 +41,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, g=True):
+    def common(p, g=True, tprec=False):
         p.add_argument("--ring", required=True, help='e.g. "F3[e]/(e^2)", "Q", "Z/25"')
         p.add_argument("--f", required=True)
         if g:
             p.add_argument("--g", required=True)
-        p.add_argument("--tprec", type=int, default=0, help="series working precision")
-        p.add_argument("--xprec", type=int, default=0, help="x-adic level for kato symbols")
+        if tprec:
+            p.add_argument("--tprec", type=int, default=0, help="series working precision")
 
     symbol = sub.add_parser("symbol", help="compute a single symbol")
     symsub = symbol.add_subparsers(dest="kind", required=True)
-    common(symsub.add_parser("cc", help="pairing of two unit series"))
+    common(symsub.add_parser("cc", help="pairing of two unit series"), tprec=True)
     tame = symsub.add_parser("tame", help="tame symbol of rational functions at a point")
     common(tame)
     tame.add_argument("--at", required=True, help='section value or "inf"')
-    common(symsub.add_parser("kato", help="residue symbol of x^e*(z-series) elements"))
+    kato = symsub.add_parser("kato", help="residue symbol of x^e*(z-series) elements")
+    common(kato)
+    kato.add_argument("--xprec", type=int, default=4, help="x-adic level for kato symbols")
 
     dec = sub.add_parser("decompose", help="winding number and unit coordinates")
-    common(dec, g=False)
+    common(dec, g=False, tprec=True)
 
     res = sub.add_parser("residue", help="residue of a one- or two-form")
     common(res, g=False)
 
     dl2 = sub.add_parser("dlog2", help="dlog(f)^dlog(g) and its residue")
-    common(dl2)
+    common(dl2, tprec=True)
 
     ver = sub.add_parser("verify", help="check one instance of a law")
     versub = ver.add_subparsers(dest="law", required=True)
@@ -74,14 +75,13 @@ def _build_parser() -> argparse.ArgumentParser:
     rsum = versub.add_parser("residue-sum")
     rsum.add_argument("--ring", required=True)
     rsum.add_argument("--f", required=True, help="global two-form text")
-    common(versub.add_parser("dlog-square"))
+    common(versub.add_parser("dlog-square"), tprec=True)
 
     suite = sub.add_parser("suite", help="run a randomized verification suite")
     suite.add_argument("name", choices=sorted(SUITES))
     suite.add_argument("--ring", action="append", default=[], help="repeatable ring spec")
     suite.add_argument("--cases", type=int, default=100)
     suite.add_argument("--seed", type=int, default=0)
-    suite.add_argument("--tprec", type=int, default=0)
     suite.add_argument("--xprec", type=int, default=4)
     suite.add_argument("--exponent-bound", type=int, default=6)
     suite.add_argument("--format", choices=("text", "json"), default="text")
@@ -89,20 +89,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _series(ring, text, args):
+    f = parse_series(ring, text)
+    return f.truncate(args.tprec) if args.tprec else f
+
+
 def _series_pair(args):
     ring = parse_ring(args.ring)
-    f = parse_series(ring, args.f)
-    g = parse_series(ring, args.g)
-    if args.tprec:
-        f = f.truncate(args.tprec)
-        g = g.truncate(args.tprec)
-    return ring, f, g
+    return ring, _series(ring, args.f, args), _series(ring, args.g, args)
 
 
 def _kato_ring(args):
+    if args.xprec < 1:
+        raise CCSymError(f"--xprec must be a positive level, got {args.xprec}")
     ring = parse_ring(args.ring)
     if isinstance(ring, (PrimeField, RationalField)):
-        ring = TruncatedPolynomialRing(ring, "x", args.xprec or 4)
+        ring = TruncatedPolynomialRing(ring, "x", args.xprec)
     if not isinstance(ring, TruncatedPolynomialRing) or ring.gen != "x":
         raise CCSymError(f"{ring} is not a level ring k[x]/(x^m) or base field")
     return ring
@@ -130,10 +132,7 @@ def _cmd_symbol(args, out) -> int:
 
 def _cmd_decompose(args, out) -> int:
     ring = parse_ring(args.ring)
-    f = parse_series(ring, args.f)
-    if args.tprec:
-        f = f.truncate(args.tprec)
-    d = witt_decompose(f)
+    d = witt_decompose(_series(ring, args.f, args))
     fmt = ring.format_element
     out(f"winding: {d.w}")
     out(f"leading unit: {fmt(d.a0)}")
@@ -155,9 +154,6 @@ def _cmd_residue(args, out) -> int:
 
 def _cmd_dlog2(args, out) -> int:
     ring, f, g = _series_pair(args)
-    if not args.tprec:
-        f = f.truncate(DEFAULT_PRECISION)
-        g = g.truncate(DEFAULT_PRECISION)
     omega = dlog2(f, g)
     out(omega.format())
     out(f"res2: {res2(omega).format()}")
@@ -178,11 +174,7 @@ def _cmd_verify(args, out) -> int:
         omega = parse_global_two_form(ring, args.f)
         r = residue_sum_check(omega)
     else:
-        f = parse_series(ring, args.f)
-        g = parse_series(ring, args.g)
-        if args.tprec:
-            f, g = f.truncate(args.tprec), g.truncate(args.tprec)
-        value = res2_dlog2(f, g)
+        value = res2_dlog2(_series(ring, args.f, args), _series(ring, args.g, args))
         out(f"res2(dlog2(f,g)) = {value.format()}")
         out("PASS")
         return 0
@@ -203,7 +195,6 @@ def _cmd_suite(args, out) -> int:
         seed=args.seed,
         exponent_bound=args.exponent_bound,
         xprec=args.xprec,
-        tprec=args.tprec,
     )
     report = run_suite(config)
     text = report.to_json() if args.format == "json" else report.to_text()

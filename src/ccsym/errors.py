@@ -37,6 +37,10 @@ class InsufficientPrecision(CCSymError):
     """Inputs are too short for the symbol to be evaluated exactly."""
 
 
+class InvariantViolation(CCSymError):
+    """An internal invariant of the unit factorisation failed to hold."""
+
+
 class SectionCollision(CCSymError):
     """Two distinct sections reduce to the same closed point."""
 

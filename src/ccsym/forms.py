@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .errors import MixedRings, UnsupportedRing
 from .rings import Ring, RingMap, TruncatedPolynomialRing
-from .series import LaurentSeries
+from .series import DEFAULT_PRECISION, INF, LaurentSeries, _split_unit
 from .symbols import MHatElement, contou_carrere, kato_residue
 
 
@@ -196,7 +196,10 @@ def d_series(f: LaurentSeries) -> OneForm:
 
 def dlog(f: LaurentSeries) -> OneForm:
     """Logarithmic differential f^-1 df of a unit series."""
-    finv = f.inverse()
+    return _dlog(f, f.inverse())
+
+
+def _dlog(f: LaurentSeries, finv: LaurentSeries) -> OneForm:
     form = d_series(f)
     return OneForm(finv * form.dt, finv * form.de)
 
@@ -216,8 +219,20 @@ def wedge(alpha: OneForm, beta: OneForm) -> TwoForm:
 
 
 def dlog2(f: LaurentSeries, g: LaurentSeries) -> TwoForm:
-    """dlog(f) ^ dlog(g) for unit series f, g."""
-    return wedge(dlog(f), dlog(g))
+    """dlog(f) ^ dlog(g) for unit series f, g.
+
+    An exact argument's inverse is expanded at least as far as the default
+    window and far enough to know the t^-1 coefficient: by its split
+    f = c*t^w*h/G, f^-1 starts no lower than L_f = ell(G) - w and is known
+    below cap + L_f, so the two-form is known below
+    ell(f) + ell(g) - 1 + cap + L_f + L_g, which this cap makes >= 0.
+    """
+    sf, sg = _split_unit(f), _split_unit(g)
+    low = sf.geom.ell - sf.w + sg.geom.ell - sg.w
+    cap = max(DEFAULT_PRECISION, 1 - f.ell - g.ell - low)
+    finv = sf.inverse(cap if f.prec == INF else None)
+    ginv = sg.inverse(cap if g.prec == INF else None)
+    return wedge(_dlog(f, finv), _dlog(g, ginv))
 
 
 def res1(alpha: OneForm):

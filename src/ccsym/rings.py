@@ -566,10 +566,6 @@ class IntegersModPrimePower(Ring):
 QQ = RationalField()
 
 
-def truncated_ring(base: Ring, gen: str, order: int) -> Ring:
-    return TruncatedPolynomialRing(base, gen, order)
-
-
 class RingMap:
     """A supported coefficient homomorphism h: A -> B.
 

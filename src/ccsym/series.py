@@ -6,12 +6,20 @@ everything below N outside the stored window is exactly zero.  Exact
 data (Laurent polynomials) carry infinite precision.  All operations
 propagate the best sound precision and raise IndeterminateAtPrecision
 rather than answer from unknown coefficients.
+
+A unit splits once as f = c * t^w * h / G, h in A[[t]] and G the exact
+product of the geometric inverses of the peeled nilpotent negative tail;
+inverse and unit coordinates are read from this split.  h is known below
+(f.prec - w) + ell(G): one product with G, not one loss per peeled factor.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .errors import (
     IndeterminateAtPrecision,
+    InvariantViolation,
     MixedRings,
     NonUnit,
     NotAUniformizer,
@@ -201,15 +209,11 @@ class LaurentSeries:
         when the series is exact; otherwise the precision window could
         hide a unit coefficient and the question is indeterminate.
         """
-        ring = self.ring
-        for c in self.coeffs:
-            if ring.is_unit(c):
-                return True
-        if self.prec == INF:
+        try:
+            self.winding_number()
+        except NonUnit:
             return False
-        raise IndeterminateAtPrecision(
-            f"all coefficients of {self} below O(t^{self.prec}) are nilpotent"
-        )
+        return True
 
     def winding_number(self) -> int:
         """Order of the reduction of the series in k((t))."""
@@ -223,46 +227,15 @@ class LaurentSeries:
             f"all coefficients of {self} below O(t^{self.prec}) are nilpotent"
         )
 
-    def nilpotent_depth(self) -> int:
-        """Largest d such that the coefficient of t^(w-d) is nonzero (0 if none)."""
-        return max(0, self.winding_number() - self.ell)
-
     def inverse(self, prec=None) -> LaurentSeries:
         """Multiplicative inverse, exact up to the propagated precision.
 
-        Factors out t^w times the leading unit, clears the nilpotent
-        negative tail by finitely many geometric factors (m^e = 0), and
-        inverts the remaining 1 + O(t) part by back-substitution.
+        Splits f = c*t^w*h/G and returns c^-1 * t^-w * h^-1 * G, with
+        the power series h inverted by back-substitution.  ``prec`` caps
+        both the expansion of h^-1 and the result.
         """
-        ring = self.ring
-        w = self.winding_number()
-        c = self.coeff(w)
-        h = self.shift(-w).scalar_mul(ring.inv(c))
-        geoms = []
-        budget = 16 + 8 * ring.nilpotency_index * (1 + max(0, -h.ell))
-        while h.coeffs and h.ell < 0:
-            budget -= 1
-            if budget < 0:
-                raise RuntimeError("negative-tail clearing did not terminate")
-            d = h.ell
-            g = _geometric_inverse(ring, d, ring.neg(h.coeff(d)))
-            geoms.append(g)
-            h = h * g
-        cap = prec if prec is not None else None
-        if h.prec == INF and len(h.coeffs) <= 1:
-            inv_h = LaurentSeries.constant(ring, ring.inv(h.coeff(0)))
-            if cap is not None:
-                inv_h = inv_h.truncate(cap)
-        else:
-            if h.prec == INF and cap is None:
-                cap = DEFAULT_PRECISION
-            inv_h = _unit_power_series_inverse(h, cap)
-        out = inv_h.shift(-w).scalar_mul(ring.inv(c))
-        for g in geoms:
-            out = out * g
-        if prec is not None:
-            out = out.truncate(prec)
-        return out
+        out = _split_unit(self).inverse(prec)
+        return out if prec is None else out.truncate(prec)
 
     # -- calculus and functoriality ----------------------------------------
 
@@ -402,19 +375,66 @@ def _geometric_inverse(ring: Ring, d: int, a) -> LaurentSeries:
         power = ring.mul(power, a)
         k += 1
         if k > ring.nilpotency_index:
-            raise RuntimeError("geometric tail of a non-nilpotent coefficient")
+            raise InvariantViolation("geometric tail of a non-nilpotent coefficient")
     return LaurentSeries.from_terms(ring, terms)
 
 
-def _unit_power_series_inverse(g: LaurentSeries, cap=None) -> LaurentSeries:
-    """Inverse of g = u*(1 + O(t)) with u a unit of A, by back-substitution."""
+class _UnitSplit(NamedTuple):
+    """f = c * t^w * h / G; ``raw`` lists the peeled factors (1 - a*t^-d) as
+    (d, a), ``geom`` is G, and h is known below (f.prec - w) + ell(G)."""
+
+    w: int
+    c: object
+    raw: list
+    geom: LaurentSeries
+    h: LaurentSeries
+
+    def inverse(self, cap=None) -> LaurentSeries:
+        """f^-1 = c^-1 * t^-w * h^-1 * G, known below (h^-1 window) + ell(G) - w;
+        h^-1 is exact for constant h, else cut at t^cap (or DEFAULT_PRECISION)."""
+        h = self.h
+        ring = h.ring
+        if h.prec == INF and len(h.coeffs) <= 1:
+            inv_h = LaurentSeries.constant(ring, ring.inv(h.coeff(0)))
+        else:
+            prec = h.prec if cap is None else min(h.prec, cap)
+            inv_h = _unit_power_series_inverse(h, DEFAULT_PRECISION if prec == INF else int(prec))
+        return (inv_h * self.geom).shift(-self.w).scalar_mul(ring.inv(self.c))
+
+
+def _split_unit(f: LaurentSeries) -> _UnitSplit:
+    """Peel the nilpotent negative tail off a unit f (see _UnitSplit).
+
+    Each step clears the deepest coefficient of h0*G below t^0 (h0 =
+    f*t^-w/c), pushing the rest into higher powers of the maximal ideal,
+    so the loop ends (m^e = 0).  Only that part of h0*G is formed per
+    step; h = h0*G is formed once.  Raises when f is too short to fix G.
+    """
+    ring = f.ring
+    w = f.winding_number()
+    c = f.coeff(w)
+    h0 = f.shift(-w).scalar_mul(ring.inv(c))
+    raw = []
+    geom = LaurentSeries.one(ring)
+    tail = h0.truncate(0)
+    budget = 64 + 16 * ring.nilpotency_index * (1 + max(0, -h0.ell))
+    while tail.coeffs:
+        budget -= 1
+        if budget < 0:
+            raise InvariantViolation("negative-tail peeling did not terminate")
+        d = tail.ell
+        a = ring.neg(tail.coeff(d))
+        raw.append((-d, a))
+        geom = geom * _geometric_inverse(ring, d, a)
+        tail = h0.truncate(-geom.ell) * geom
+    if tail.prec < 0:
+        raise IndeterminateAtPrecision(f"negative tail of {f} not determined")
+    return _UnitSplit(w, c, raw, geom, h0 * geom)
+
+
+def _unit_power_series_inverse(g: LaurentSeries, n: int) -> LaurentSeries:
+    """Inverse of g = u*(1 + O(t)) below t^n, u a unit of A, by back-substitution."""
     ring = g.ring
-    prec = g.prec
-    if cap is not None:
-        prec = min(prec, cap)
-    if prec == INF:
-        prec = DEFAULT_PRECISION
-    n = int(prec)
     if n <= 0:
         raise IndeterminateAtPrecision("no known coefficients to invert")
     g0inv = ring.inv(g.coeff(0))
@@ -427,4 +447,4 @@ def _unit_power_series_inverse(g: LaurentSeries, cap=None) -> LaurentSeries:
             if not ring.is_zero(gj):
                 s = ring.add(s, ring.mul(gj, out[k - j]))
         out.append(ring.neg(ring.mul(g0inv, s)))
-    return LaurentSeries(ring, 0, out, g.prec if cap is None else min(g.prec, cap))
+    return LaurentSeries(ring, 0, out, n)

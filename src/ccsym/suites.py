@@ -47,7 +47,6 @@ class SuiteConfig:
     seed: int = 0
     exponent_bound: int = 6
     xprec: int = 4
-    tprec: int = 0
 
     def echo(self) -> dict:
         return {
@@ -57,7 +56,6 @@ class SuiteConfig:
             "seed": self.seed,
             "exponent_bound": self.exponent_bound,
             "xprec": self.xprec,
-            "tprec": self.tprec,
         }
 
 
@@ -327,11 +325,10 @@ def suite_dlog_square(config: SuiteConfig, rng) -> list[CaseRecord]:
             if _is_x_level(ring):
                 out.append(_square_case_level(ring, rng, idx))
             else:
-                rec = _square_case_artinian(ring, rng, idx)
-                out.append(rec)
+                out.append(_square_case_artinian(ring, rng, idx))
         except AssertionError as exc:
             out.append(CaseRecord(idx, {"ring": str(ring)}, "commuting square", str(exc), False))
-    return out
+    return out + closed_form_square_records(config, rng)
 
 
 def closed_form_square_records(config: SuiteConfig, rng) -> list[CaseRecord]:
@@ -661,11 +658,7 @@ def suite_precision_coherence(config: SuiteConfig, rng) -> list[CaseRecord]:
             g = MHatElement(ring, e2, gd.series(prec))
             kv = kato_residue(f, g)
             for lower in range(1, ring.order + 1):
-                low_ring = TruncatedPolynomialRing(ring.base, "x", lower)
-                drop = epsilon_map(
-                    ring, low_ring,
-                    low_ring.zero if lower == 1 else low_ring.generator(),
-                )
+                drop = _level_drop(ring, lower)
                 kv_low = kato_residue(f.map_level(drop), g.map_level(drop))
                 if kv.map_level(drop) != kv_low:
                     return f"mismatch at level {lower}"
@@ -706,8 +699,6 @@ def run_suite(config: SuiteConfig) -> Report:
     rng = random.Random(config.seed)
     started = time.monotonic()
     cases = SUITES[config.suite](config, rng)
-    if config.suite == "dlog-square":
-        cases = cases + closed_form_square_records(config, rng)
     elapsed = int((time.monotonic() - started) * 1000)
     failures = sum(1 for c in cases if not c.passed)
     return Report(config.suite, config.echo(), cases, failures, elapsed)

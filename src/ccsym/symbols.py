@@ -5,12 +5,15 @@ Every unit f of A((t)) factors uniquely as
     f = a0 * t^w * prod_{i>0} (1 - a_i t^i) * prod_{i>0} (1 - a_{-i} t^{-i})
 
 with a0 a unit, the negative coordinates nilpotent and almost all zero.
-The Contou-Carrere symbol is evaluated from these coordinates by a finite
-product: nilpotency truncates the pairing terms, and required_precision
-makes the needed coordinate window explicit instead of ever truncating
-an answer.  Over a field the symbol degenerates to the tame symbol at
-t = 0.  Kato's residue symbol for the two-variable field k((x))((z)) is
-computed levelwise over k[x]/(x^m) from the x^e * unit normal form.
+All coordinates come from one split f = c * t^w * h / G (series.py): the
+negative ones canonicalise the peeled factors, the positive ones are
+peeled off h.  The Contou-Carrere symbol splits each argument once and
+is a finite product of coordinates: nilpotency truncates the pairing
+terms, and the negative coordinates fix the windows (required_precision)
+instead of ever truncating an answer.  Over a field the symbol
+degenerates to the tame symbol at t = 0.  Kato's residue symbol for the
+two-variable field k((x))((z)) is computed levelwise over k[x]/(x^m)
+from the x^e * unit normal form.
 """
 
 from __future__ import annotations
@@ -20,11 +23,14 @@ from math import gcd
 from .errors import (
     IndeterminateAtPrecision,
     InsufficientPrecision,
+    InvariantViolation,
     MixedFields,
     MixedRings,
 )
 from .rings import Ring, RingMap, TruncatedPolynomialRing
-from .series import DEFAULT_PRECISION, INF, LaurentSeries, _geometric_inverse
+from .series import (
+    DEFAULT_PRECISION, INF, LaurentSeries, _geometric_inverse, _split_unit, _UnitSplit,
+)
 
 
 class UnitDecomposition:
@@ -43,10 +49,6 @@ class UnitDecomposition:
         self.pos = pos
         self.neg = neg
         self.prec = prec
-
-    def jmax(self) -> int:
-        """Deepest nonzero negative coordinate index (0 when none)."""
-        return max(self.neg) if self.neg else 0
 
     def __eq__(self, other):
         return (
@@ -69,31 +71,6 @@ class UnitDecomposition:
         )
 
 
-def _clear_negative_tail(f: LaurentSeries):
-    """Write f = c*t^w * (raw negative factors) * h with h supported in t^>=0.
-
-    Returns (w, c, raw, h) where raw lists (depth, value) for factors
-    (1 - value*t^-depth).  Peeling the deepest coefficient first pushes
-    the remaining negative part into higher powers of the maximal ideal,
-    so the loop ends after finitely many steps (m^e = 0).
-    """
-    ring = f.ring
-    w = f.winding_number()
-    c = f.coeff(w)
-    h = f.shift(-w).scalar_mul(ring.inv(c))
-    raw = []
-    budget = 64 + 16 * ring.nilpotency_index * (1 + max(0, -h.ell))
-    while h.coeffs and h.ell < 0:
-        budget -= 1
-        if budget < 0:
-            raise RuntimeError("negative-tail peeling did not terminate")
-        d = h.ell
-        a = ring.neg(h.coeff(d))
-        raw.append((-d, a))
-        h = h * _geometric_inverse(ring, d, a)
-    return w, c, raw, h
-
-
 def _canonical_negative(ring: Ring, raw) -> dict:
     """Turn an unordered factor list into the canonical a_{-i} coordinates."""
     B = LaurentSeries.one(ring)
@@ -105,15 +82,22 @@ def _canonical_negative(ring: Ring, raw) -> dict:
     while B.coeffs and B.ell < 0:
         budget -= 1
         if budget < 0:
-            raise RuntimeError("negative coordinate extraction did not terminate")
+            raise InvariantViolation("negative coordinate extraction did not terminate")
         c = B.coeff(-i)
         if not ring.is_zero(c):
             a = ring.neg(c)
             neg[i] = a
             B = B * _geometric_inverse(ring, -i, a)
         i += 1
-    assert B == LaurentSeries.one(ring)
+    if B != LaurentSeries.one(ring):
+        raise InvariantViolation(f"negative factors left {B} after extraction")
     return neg
+
+
+def _split(f: LaurentSeries):
+    """The negative-tail split of f and its canonical negative coordinates."""
+    split = _split_unit(f)
+    return split, _canonical_negative(f.ring, split.raw)
 
 
 def witt_decompose(f: LaurentSeries, prec=None) -> UnitDecomposition:
@@ -123,19 +107,21 @@ def witt_decompose(f: LaurentSeries, prec=None) -> UnitDecomposition:
     relative precision of f (capped for exact inputs).  The achieved
     window is recorded on the result, never exceeded silently.
     """
-    ring = f.ring
-    w, c, raw, h = _clear_negative_tail(f)
-    neg = _canonical_negative(ring, raw)
+    split, neg = _split(f)
+    return _coordinates(split, neg, f.prec - split.w if prec is None else prec)
+
+
+def _coordinates(split: _UnitSplit, neg: dict, prec) -> UnitDecomposition:
+    """Peel the positive coordinates off h below ``prec``."""
+    h = split.h
+    ring = h.ring
     u0 = h.coeff(0)
-    a0 = ring.mul(c, u0)
+    a0 = ring.mul(split.c, u0)
     u = h.scalar_mul(ring.inv(u0))
-    if prec is None:
-        prec = f.prec - w if f.prec != INF else DEFAULT_PRECISION
     if u.prec == INF and len(u.coeffs) <= 1:
         # pure monomial times negative tail: every positive coordinate is zero
-        return UnitDecomposition(ring, w, a0, {}, neg, INF)
-    window = prec if prec != INF else DEFAULT_PRECISION
-    u = u.truncate(window)
+        return UnitDecomposition(ring, split.w, a0, {}, neg, INF)
+    u = u.truncate(prec if prec != INF else DEFAULT_PRECISION)
     avail = int(u.prec)
     pos = {}
     for i in range(1, avail):
@@ -144,7 +130,7 @@ def witt_decompose(f: LaurentSeries, prec=None) -> UnitDecomposition:
             pos[i] = ai
             geom = {k: ring.pow(ai, k // i) for k in range(0, avail, i)}
             u = u * LaurentSeries.from_terms(ring, geom, prec=avail)
-    return UnitDecomposition(ring, w, a0, pos, neg, avail)
+    return UnitDecomposition(ring, split.w, a0, pos, neg, avail)
 
 
 def recompose(d: UnitDecomposition, prec=None) -> LaurentSeries:
@@ -163,18 +149,19 @@ def recompose(d: UnitDecomposition, prec=None) -> LaurentSeries:
             f"coordinates only known below index {d.prec}, requested {prec}"
         )
     ring = d.ring
-    out = LaurentSeries.constant(ring, d.a0)
+    out = LaurentSeries.constant(ring, d.a0, prec)
     for i, a in sorted(d.pos.items()):
         if i >= prec:
             break
         out = out * LaurentSeries.from_terms(ring, {0: ring.one, i: ring.neg(a)})
-        if prec != INF:
-            out = out.truncate(prec)
-    if prec != INF:
-        out = out.truncate(prec)
     for i, a in sorted(d.neg.items()):
         out = out * LaurentSeries.from_terms(ring, {0: ring.one, -i: ring.neg(a)})
     return out.shift(d.w)
+
+
+def _windows(ring: Ring, neg_f: dict, neg_g: dict) -> tuple[int, int]:
+    e = ring.nilpotency_index
+    return max(1, e * max(neg_g, default=0)), max(1, e * max(neg_f, default=0))
 
 
 def required_precision(f: LaurentSeries, g: LaurentSeries) -> tuple[int, int]:
@@ -188,27 +175,23 @@ def required_precision(f: LaurentSeries, g: LaurentSeries) -> tuple[int, int]:
     """
     if f.ring != g.ring:
         raise MixedRings(f"cannot pair series over {f.ring} and {g.ring}")
-    e = f.ring.nilpotency_index
-    jf = _canonical_negative(f.ring, _clear_negative_tail(f)[2])
-    jg = _canonical_negative(g.ring, _clear_negative_tail(g)[2])
-    jmax_f = max(jf) if jf else 0
-    jmax_g = max(jg) if jg else 0
-    return max(1, e * jmax_g), max(1, e * jmax_f)
+    return _windows(f.ring, _split(f)[1], _split(g)[1])
 
 
 def contou_carrere(f: LaurentSeries, g: LaurentSeries):
     """The A*-valued pairing <f, g> evaluated exactly from coordinates.
 
-    Equals the tame symbol at t = 0 when A is a field.  Raises
-    InsufficientPrecision when the inputs do not determine every
-    contributing coordinate.
+    Equals the tame symbol at t = 0 when A is a field.  Each argument is
+    split once; its negative coordinates fix the other's window
+    (required_precision) and its own coordinates come from the same
+    split.  Raises InsufficientPrecision when the inputs do not determine
+    every contributing coordinate.
     """
     if f.ring != g.ring:
         raise MixedRings(f"cannot pair series over {f.ring} and {g.ring}")
-    ring = f.ring
-    req_f, req_g = required_precision(f, g)
-    df = witt_decompose(f, prec=req_f)
-    dg = witt_decompose(g, prec=req_g)
+    (sf, neg_f), (sg, neg_g) = _split(f), _split(g)
+    req_f, req_g = _windows(f.ring, neg_f, neg_g)
+    df, dg = _coordinates(sf, neg_f, req_f), _coordinates(sg, neg_g, req_g)
     if df.prec < req_f or dg.prec < req_g:
         raise InsufficientPrecision(
             f"need coordinate windows {req_f}/{req_g}, have {df.prec}/{dg.prec}"
@@ -271,9 +254,6 @@ class MHatElement:
         if other.ring != self.ring:
             raise MixedFields("cannot multiply over different levels")
         return MHatElement(self.ring, self.exponent + other.exponent, self.unit * other.unit)
-
-    def substitute_z(self, sigma: LaurentSeries) -> MHatElement:
-        return MHatElement(self.ring, self.exponent, self.unit.substitute(sigma))
 
     def map_level(self, h: RingMap) -> MHatElement:
         return MHatElement(h.target, self.exponent, self.unit.map_coefficients(h))

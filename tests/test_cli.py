@@ -55,6 +55,31 @@ def test_dlog2_verb():
     assert code == 0 and "res2: de" in out
 
 
+def test_dlog2_exact_deep_pole():
+    args = ["--ring", "F3[e]/(e^4)", "--f", "1-e*t^-20", "--g", "1-t"]
+    code, out = run(["dlog2", *args])
+    assert code == 0 and "res2: (1+e+e^2)*de" in out
+    code, out = run(["verify", "dlog-square", *args])
+    assert code == 0
+    assert out.splitlines() == ["res2(dlog2(f,g)) = (1+e+e^2)*de", "PASS"]
+
+
+def test_decompose_deep_split():
+    code, out = run(
+        ["decompose", "--ring", "F3[e]/(e^3)",
+         "--f", "1 - e*t^-2 + e*t^-1 + t + 2*t^3 + O(t^10)"]
+    )
+    assert code == 0 and "coordinate precision: 6" in out
+
+
+def test_kato_level_must_be_positive():
+    for level in ("0", "-2"):
+        code, out = run(
+            ["symbol", "kato", "--ring", "F5", "--xprec", level, "--f", "x * (z)", "--g", "(z^2)"]
+        )
+        assert code == 2 and out == ""
+
+
 def test_verify_residue_sum():
     code, out = run(
         ["verify", "residue-sum", "--ring", "F3[e]/(e^2)", "--f", "de/(x - 1) - de/(x - 2)"]

@@ -3,12 +3,14 @@ import random
 import pytest
 
 from ccsym.errors import (
+    CCSymError,
     IndeterminateAtPrecision,
     NonUnit,
     NotAUniformizer,
 )
 from ccsym.rings import PrimeField, TruncatedPolynomialRing, residue_map
-from ccsym.series import INF, LaurentSeries
+from ccsym.parsing import parse_ring, parse_series
+from ccsym.series import INF, LaurentSeries, _geometric_inverse, _split_unit
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -80,6 +82,24 @@ def test_inverse_random():
             f = s(ring, terms, prec=8).shift(rng.randint(-2, 2))
             g = f.inverse()
             assert (f * g).agrees_with(LaurentSeries.one(ring))
+
+
+def test_inverse_after_deep_split():
+    # five peeled factors, depths summing to 9: one product with G loses only 4
+    ring = parse_ring("F3[e]/(e^3)")
+    f = parse_series(ring, "1 - e*t^-2 + e*t^-1 + t + 2*t^3 + O(t^10)")
+    split = _split_unit(f)
+    assert sum(d for d, _ in split.raw) == 9 and split.geom.ell == -4
+    h_prec = f.prec - split.w + split.geom.ell
+    assert split.h.prec == h_prec == 6
+    inv = f.inverse()
+    assert (f * inv).agrees_with(LaurentSeries.one(ring))
+    assert inv.prec == h_prec + split.geom.ell - split.w == 2
+
+
+def test_geometric_inverse_rejects_unit():
+    with pytest.raises(CCSymError):
+        _geometric_inverse(A2, -1, A2.one)
 
 
 def test_derivative():

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 from ccsym.errors import (
+    IndeterminateAtPrecision,
     InsufficientPrecision,
     MixedFields,
     NonUnit,
@@ -16,7 +17,8 @@ from ccsym.rings import (
     TruncatedPolynomialRing,
     residue_map,
 )
-from ccsym.series import INF, LaurentSeries
+from ccsym.parsing import parse_ring, parse_series
+from ccsym.series import INF, LaurentSeries, _split_unit
 from ccsym.symbols import (
     KatoValue,
     MHatElement,
@@ -93,6 +95,15 @@ def test_coordinates_unique():
             assert (d2.w, d2.a0, d2.pos, d2.neg) == (d.w, d.a0, d.pos, d.neg)
 
 
+def test_decompose_after_deep_split():
+    ring = parse_ring("F3[e]/(e^3)")
+    f = parse_series(ring, "1 - e*t^-2 + e*t^-1 + t + 2*t^3 + O(t^10)")
+    d = witt_decompose(f)
+    assert recompose(d).agrees_with(f)
+    split = _split_unit(f)
+    assert d.prec == f.prec - split.w + split.geom.ell == 6
+
+
 def test_required_precision():
     f = LaurentSeries.t_power(F5, 1, 2)
     g = LaurentSeries.t_power(F5, 0, 3)
@@ -101,6 +112,10 @@ def test_required_precision():
     gpos = s(A2, {0: A2.one, 1: A2.one})
     # e = 2 and the f-tail reaches depth 1, so g needs coordinates below 2
     assert required_precision(fneg, gpos) == (1, 2)
+    # the unknown t^2 coefficient times e*t^-3 reaches t^-1: no window exists
+    fshort = s(A2, {-3: EPS, 0: A2.one}, prec=2)
+    with pytest.raises(IndeterminateAtPrecision):
+        required_precision(fshort, gpos)
 
 
 def test_insufficient_precision_is_detected():
