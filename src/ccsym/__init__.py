@@ -9,6 +9,7 @@ pure, so everything is safe to share across threads or tasks.
 
 from .errors import (
     CCSymError,
+    IdentityViolated,
     IndeterminateAtPrecision,
     InsufficientPrecision,
     InvariantViolation,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import CCSymError
+from .errors import CCSymError, IdentityViolated
 from .forms import OneForm, TwoForm, dlog2, res1, res2, res2_dlog2
 from .parsing import (
     parse_element,
@@ -174,7 +174,13 @@ def _cmd_verify(args, out) -> int:
         omega = parse_global_two_form(ring, args.f)
         r = residue_sum_check(omega)
     else:
-        value = res2_dlog2(_series(ring, args.f, args), _series(ring, args.g, args))
+        try:
+            value = res2_dlog2(_series(ring, args.f, args), _series(ring, args.g, args))
+        except IdentityViolated as exc:
+            out(f"res2(dlog2(f,g)) = {exc.lhs.format()}")
+            out(f"dlog<f,g> = {exc.rhs.format()}")
+            out("FAIL")
+            return 1
         out(f"res2(dlog2(f,g)) = {value.format()}")
         out("PASS")
         return 0

@@ -41,6 +41,15 @@ class InvariantViolation(CCSymError):
     """An internal invariant of the unit factorisation failed to hold."""
 
 
+class IdentityViolated(CCSymError):
+    """Two routes to the same value disagree; ``lhs`` and ``rhs`` are the sides."""
+
+    def __init__(self, message: str, lhs, rhs):
+        self.lhs = lhs
+        self.rhs = rhs
+        super().__init__(message)
+
+
 class SectionCollision(CCSymError):
     """Two distinct sections reduce to the same closed point."""
 

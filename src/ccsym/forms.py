@@ -15,7 +15,7 @@ the one any of the residue identities are about.
 
 from __future__ import annotations
 
-from .errors import MixedRings, UnsupportedRing
+from .errors import IdentityViolated, MixedRings, UnsupportedRing
 from .rings import Ring, RingMap, TruncatedPolynomialRing
 from .series import DEFAULT_PRECISION, INF, LaurentSeries, _split_unit
 from .symbols import MHatElement, contou_carrere, kato_residue
@@ -246,14 +246,12 @@ def res2(omega: TwoForm) -> AOneForm:
 
 
 def res2_dlog2(f: LaurentSeries, g: LaurentSeries) -> AOneForm:
-    """res2(dlog2(f, g)), asserted equal to dlog of the symbol <f, g>."""
+    """res2(dlog2(f, g)), checked equal to dlog of the symbol <f, g>."""
     lhs = res2(dlog2(f, g))
     rhs = dlog_element(f.ring, contou_carrere(f, g))
     if lhs != rhs:
-        raise AssertionError(
-            f"residue square violated: res2(dlog2) = {lhs.format()} but "
-            f"dlog<f,g> = {rhs.format()}"
-        )
+        msg = f"residue square violated: res2(dlog2) = {lhs.format()} but dlog<f,g> = {rhs.format()}"
+        raise IdentityViolated(msg, lhs, rhs)
     return lhs
 
 
@@ -310,20 +308,24 @@ def log_square_check(f: MHatElement, g: MHatElement):
     residue route: the multiplicity must equal e1*w(u2) - e2*w(u1) (also
     recovered from residues of the logarithmic derivatives), and the
     regular part must satisfy res2(dlog2(u1, u2)) = dlog{u1, u2}.
-    Returns the Kato value; raises AssertionError on any mismatch.
+    Returns the Kato value; raises IdentityViolated on any mismatch.
     """
     ring = f.ring
     kv = kato_residue(f, g)
     w1, w2 = f.deg(), g.deg()
-    if kv.exponent != f.exponent * w2 - g.exponent * w1:
-        raise AssertionError("dx/x multiplicity disagrees with winding bookkeeping")
+    expected = f.exponent * w2 - g.exponent * w1
+    if kv.exponent != expected:
+        raise IdentityViolated(
+            "dx/x multiplicity disagrees with winding bookkeeping", kv.exponent, expected
+        )
     for u, w in ((f.unit, w1), (g.unit, w2)):
-        if res1(dlog(u)) != ring.from_int(w):
-            raise AssertionError("res1(dlog u) != winding number in A")
+        residue, winding = res1(dlog(u)), ring.from_int(w)
+        if residue != winding:
+            raise IdentityViolated("res1(dlog u) != winding number in A", residue, winding)
     lhs = res2(dlog2(f.unit, g.unit))
     rhs = dlog_element(ring, kv.unit)
     if lhs != rhs:
-        raise AssertionError(
-            f"levelwise square violated: {lhs.format()} != {rhs.format()}"
+        raise IdentityViolated(
+            f"levelwise square violated: {lhs.format()} != {rhs.format()}", lhs, rhs
         )
     return kv

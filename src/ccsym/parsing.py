@@ -241,6 +241,7 @@ def _split_top_level(text: str, seps: str):
     """Split on separators outside parentheses, keeping each piece's sign.
 
     A sign directly following '^' belongs to an exponent and never splits.
+    '*' is binary: the pieces around each one are kept, empty or not.
     """
     parts = []
     depth = 0
@@ -254,7 +255,7 @@ def _split_top_level(text: str, seps: str):
             if depth < 0:
                 raise ParseError("unbalanced parentheses", text, i)
         elif depth == 0 and ch in seps and prev != "^":
-            if i > start:
+            if i > start or ch == "*":
                 parts.append(text[start:i].strip())
                 start = i if ch == "-" else i + 1
             elif ch == "+":
@@ -264,7 +265,7 @@ def _split_top_level(text: str, seps: str):
     if depth != 0:
         raise ParseError("unbalanced parentheses", text, len(text))
     tail = text[start:].strip()
-    if tail:
+    if tail or "*" in seps:
         parts.append(tail)
     return parts
 
@@ -278,8 +279,7 @@ def parse_rational_function(ring: Ring, text: str):
 
     constant = ring.one
     factors = []
-    for piece in _split_star(text):
-        piece = piece.strip()
+    for piece in _split_top_level(text, "*"):
         if not piece:
             raise ParseError("empty factor", text, 0)
         m = re.match(r"^x(?:\^(-?\d+))?$", piece)
@@ -304,23 +304,6 @@ def parse_rational_function(ring: Ring, text: str):
             continue
         constant = ring.mul(constant, parse_element(ring, piece))
     return SplitRationalFunction(ring, constant, factors)
-
-
-def _split_star(text: str):
-    parts = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "*" and depth == 0:
-            # '^' exponents never contain '*'; a top-level star separates factors
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return [p for p in (s.strip() for s in parts) if p]
 
 
 _MHAT = re.compile(r"^\s*x(?:\^(-?\d+))?\s*\*\s*\((.*)\)\s*$", re.S)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    CCSymError,
     MixedRings,
     NonUnit,
     NonZeroSum,
@@ -210,38 +211,22 @@ def weil_check(f: SplitRationalFunction, g: SplitRationalFunction) -> Reciprocit
     return ReciprocityResult(prod, prod == ring.one, per_point)
 
 
-def anderson_romo_check(
-    f: SplitRationalFunction, g: SplitRationalFunction, prec: int = None
-) -> ReciprocityResult:
+def anderson_romo_check(f: SplitRationalFunction, g: SplitRationalFunction) -> ReciprocityResult:
     """Product of the pairings <f, g>_s over all degenerating sections.
 
-    The working precision is derived from the factor data; on a
-    precision failure the expansion window is doubled once before the
-    error propagates (the law itself is exact).
+    The sections are residue-disjoint, so each local expansion is t^k
+    times a unit power series: it has no negative coordinates, and the
+    symbol needs coordinate windows (1, 1).  Each point is therefore
+    expanded at window 1; were that ever too short, contou_carrere would
+    raise a typed precision error, never return a wrong value.
     """
     ring = f.ring
     if g.ring != ring:
         raise MixedRings("operands live over different rings")
-    points = _section_set(f, g)
-    weight = sum(map(abs, f.factors.values())) + sum(map(abs, g.factors.values()))
-    n0 = prec if prec is not None else ring.nilpotency_index + weight + 4
     per_point = []
     prod = ring.one
-    for pt in points:
-        for window in (n0, 2 * n0):
-            try:
-                s = contou_carrere(
-                    f.local_expansion(pt, window), g.local_expansion(pt, window)
-                )
-                break
-            except Exception as exc:
-                from .errors import IndeterminateAtPrecision, InsufficientPrecision
-
-                if window == n0 and isinstance(
-                    exc, (IndeterminateAtPrecision, InsufficientPrecision)
-                ):
-                    continue
-                raise
+    for pt in _section_set(f, g):
+        s = contou_carrere(f.local_expansion(pt, 1), g.local_expansion(pt, 1))
         per_point.append((pt, s))
         prod = ring.mul(prod, s)
     return ReciprocityResult(prod, prod == ring.one, per_point)
@@ -265,7 +250,7 @@ class GlobalTwoForm:
             clean = {int(k): c for k, c in parts.items() if not c.is_zero()}
             for k in clean:
                 if k < 1:
-                    raise ValueError("pole orders must be >= 1")
+                    raise CCSymError("pole orders must be >= 1")
             if clean:
                 self.poles[value] = clean
         self.tail = tuple(tail)

@@ -8,7 +8,7 @@ same case with a wider window without touching the stream of draws.
 
 from __future__ import annotations
 
-from .errors import IndeterminateAtPrecision, InsufficientPrecision
+from .errors import CCSymError, IndeterminateAtPrecision, InsufficientPrecision
 from .rings import Ring
 from .series import INF, LaurentSeries
 from .symbols import UnitDecomposition
@@ -52,7 +52,7 @@ def draw_steinberg_unit(ring: Ring, rng, **kw) -> UnitDraw:
         probe = LaurentSeries.one(ring) - d.series(8)
         if any(ring.is_unit(c) for c in probe.coeffs):
             return d
-    raise RuntimeError("could not draw a Steinberg-admissible unit")
+    raise CCSymError("could not draw a Steinberg-admissible unit")
 
 
 def draw_decomposition(ring: Ring, rng, window: int = 6, max_winding: int = 2,

@@ -288,7 +288,7 @@ class LaurentSeries:
                 power = power * sig_inv
                 if prec is not None:
                     power = power.truncate(prec)
-                ci = self.coeffs[i - self.ell] if i >= self.ell else ring.zero
+                ci = self.coeffs[i - self.ell] if i < self.end() else ring.zero
                 if not ring.is_zero(ci):
                     acc = acc + power.scalar_mul(ci)
         return acc.truncate(out_prec)

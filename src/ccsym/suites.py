@@ -16,8 +16,8 @@ import time
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import CCSymError
-from .forms import AOneForm, dlog2, dlog_element, form_substitute, log_square_check, res2, res2_dlog2
+from .errors import CCSymError, IdentityViolated
+from .forms import AOneForm, dlog2, dlog_element, form_substitute, log_square_check, res2
 from .parsing import parse_ring
 from .randgen import (
     draw_decomposition,
@@ -285,9 +285,8 @@ def _square_case_level(ring, rng, idx) -> CaseRecord:
             drop = _level_drop(ring, lower)
             kv_low = log_square_check(f.map_level(drop), g.map_level(drop))
             if kv.map_level(drop) != kv_low:
-                raise AssertionError(
-                    f"level {ring.order} -> {lower} truncation mismatch"
-                )
+                msg = f"level {ring.order} -> {lower} truncation mismatch"
+                raise IdentityViolated(msg, kv.map_level(drop), kv_low)
         return f, g, kv
 
     try:
@@ -298,7 +297,7 @@ def _square_case_level(ring, rng, idx) -> CaseRecord:
             "square + level compatibility",
             "square + level compatibility",
         )
-    except AssertionError as exc:
+    except IdentityViolated as exc:
         return CaseRecord(
             idx,
             {"ring": str(ring), "f": fd.format(), "g": gd.format()},
@@ -326,7 +325,7 @@ def suite_dlog_square(config: SuiteConfig, rng) -> list[CaseRecord]:
                 out.append(_square_case_level(ring, rng, idx))
             else:
                 out.append(_square_case_artinian(ring, rng, idx))
-        except AssertionError as exc:
+        except IdentityViolated as exc:
             out.append(CaseRecord(idx, {"ring": str(ring)}, "commuting square", str(exc), False))
     return out + closed_form_square_records(config, rng)
 

@@ -5,11 +5,12 @@ Every unit f of A((t)) factors uniquely as
     f = a0 * t^w * prod_{i>0} (1 - a_i t^i) * prod_{i>0} (1 - a_{-i} t^{-i})
 
 with a0 a unit, the negative coordinates nilpotent and almost all zero.
-All coordinates come from one split f = c * t^w * h / G (series.py): the
-negative ones canonicalise the peeled factors, the positive ones are
-peeled off h.  The Contou-Carrere symbol splits each argument once and
-is a finite product of coordinates: nilpotency truncates the pairing
-terms, and the negative coordinates fix the windows (required_precision)
+All coordinates come from one split f = c * t^w * h / G (series.py) and
+one peeling recurrence (_peel): the positive ones are read off h/h(0)
+in t, the negative ones off the exact product of the peeled factors in
+t^-1.  The Contou-Carrere symbol splits each argument once and is a
+finite product of coordinates: nilpotency truncates the pairing terms,
+and the negative coordinates fix the windows (required_precision)
 instead of ever truncating an answer.  Over a field the symbol
 degenerates to the tame symbol at t = 0.  Kato's residue symbol for the
 two-variable field k((x))((z)) is computed levelwise over k[x]/(x^m)
@@ -28,9 +29,7 @@ from .errors import (
     MixedRings,
 )
 from .rings import Ring, RingMap, TruncatedPolynomialRing
-from .series import (
-    DEFAULT_PRECISION, INF, LaurentSeries, _geometric_inverse, _split_unit, _UnitSplit,
-)
+from .series import DEFAULT_PRECISION, INF, LaurentSeries, _split_unit, _UnitSplit
 
 
 class UnitDecomposition:
@@ -71,26 +70,44 @@ class UnitDecomposition:
         )
 
 
+def _peel(ring: Ring, v: list) -> dict:
+    """Coordinates {i: a_i} of v = prod_{i>0} (1 - a_i s^i) mod s^len(v), v[0] = 1.
+
+    Once the factors below i are divided out, v = 1 - a_i s^i + O(s^(i+1));
+    dividing by (1 - a_i s^i) is v[k] += a_i * v[k-i], in place and upwards.
+    It clears v[i] and leaves v[i+1..2i-1] as they are, since v[1..i-1] = 0.
+    """
+    coords = {}
+    for i in range(1, len(v)):
+        a = ring.neg(v[i])
+        if ring.is_zero(a):
+            continue
+        coords[i] = a
+        v[i] = ring.zero
+        for k in range(2 * i, len(v)):
+            v[k] = ring.add(v[k], ring.mul(a, v[k - i]))
+    return coords
+
+
 def _canonical_negative(ring: Ring, raw) -> dict:
-    """Turn an unordered factor list into the canonical a_{-i} coordinates."""
+    """The canonical a_{-i} of B = prod (1 - a t^-d) over the peeled factors.
+
+    B is a polynomial of degree D = depth(B) in s = t^-1 whose coefficients
+    v[k], k > 0, lie in the maximal ideal m, hence in m^ceil(k/D).  Dividing
+    by (1 - a_i s^i), a_i = -v[i], keeps that: the new v[k] sums
+    a_i^j * v[k-ji], in m^(j*ceil(i/D) + ceil((k-ji)/D)), inside m^ceil(k/D).
+    So a_{-i} lies in m^ceil(i/D) and vanishes for i > (e-1)*D, e the
+    nilpotency index.  Peeling e*D+1 slots reads every coordinate, and the
+    last D slots must peel to nothing.
+    """
     B = LaurentSeries.one(ring)
     for d, a in raw:
         B = B * LaurentSeries.from_terms(ring, {0: ring.one, -d: ring.neg(a)})
-    neg = {}
-    i = 1
-    budget = 64 + 16 * ring.nilpotency_index * (1 + max(0, -B.ell))
-    while B.coeffs and B.ell < 0:
-        budget -= 1
-        if budget < 0:
-            raise InvariantViolation("negative coordinate extraction did not terminate")
-        c = B.coeff(-i)
-        if not ring.is_zero(c):
-            a = ring.neg(c)
-            neg[i] = a
-            B = B * _geometric_inverse(ring, -i, a)
-        i += 1
-    if B != LaurentSeries.one(ring):
-        raise InvariantViolation(f"negative factors left {B} after extraction")
+    depth = -B.ell
+    e = ring.nilpotency_index
+    neg = _peel(ring, [B.coeff(-k) for k in range(e * depth + 1)])
+    if max(neg, default=0) > (e - 1) * depth:
+        raise InvariantViolation(f"negative coordinate of {B} beyond index {(e - 1) * depth}")
     return neg
 
 
@@ -123,13 +140,7 @@ def _coordinates(split: _UnitSplit, neg: dict, prec) -> UnitDecomposition:
         return UnitDecomposition(ring, split.w, a0, {}, neg, INF)
     u = u.truncate(prec if prec != INF else DEFAULT_PRECISION)
     avail = int(u.prec)
-    pos = {}
-    for i in range(1, avail):
-        ai = ring.neg(u.coeff(i))
-        if not ring.is_zero(ai):
-            pos[i] = ai
-            geom = {k: ring.pow(ai, k // i) for k in range(0, avail, i)}
-            u = u * LaurentSeries.from_terms(ring, geom, prec=avail)
+    pos = _peel(ring, [u.coeff(k) for k in range(avail)])
     return UnitDecomposition(ring, split.w, a0, pos, neg, avail)
 
 

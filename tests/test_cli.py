@@ -137,3 +137,31 @@ def test_constant_reciprocity():
         ["verify", "reciprocity-ar", "--ring", "F3[e]/(e^2)", "--f", "1+e", "--g", "2"]
     )
     assert code == 0 and "product/sum: 1" in out
+
+
+def test_empty_rational_factor_exit_code():
+    for text in ("2 * * (x - 1)", "* (x - 1)", "(x - 1) *"):
+        code, out = run(["verify", "reciprocity-ar", "--ring", "F5", "--f", text, "--g", "x"])
+        assert code == 2 and out == ""
+
+
+def test_zero_pole_order_exit_code():
+    code, out = run(["verify", "residue-sum", "--ring", "F3[e]/(e^2)", "--f", "de/(x - 1)^0"])
+    assert code == 2 and out == ""
+
+
+def test_verify_dlog_square_reports_violation(monkeypatch):
+    import ccsym.forms
+
+    monkeypatch.setattr(ccsym.forms, "contou_carrere", lambda f, g: f.ring.one)
+    code, out = run(
+        ["verify", "dlog-square", "--ring", "F3[e]/(e^2)", "--f", "1 - t + O(t^9)",
+         "--g", "1 - e*t^-1"]
+    )
+    assert code == 1
+    assert out.splitlines() == ["res2(dlog2(f,g)) = 2*de", "dlog<f,g> = 0", "FAIL"]
+
+
+def test_uniformizer_invariance_suite_seed_5():
+    code, out = run(["suite", "uniformizer-invariance", "--cases", "100", "--seed", "5"])
+    assert code == 0 and out.strip().endswith("PASS")

@@ -133,6 +133,13 @@ def test_substitute():
         LaurentSeries.t_power(A2, 1).substitute(LaurentSeries.t_power(A2, 1, EPS))
 
 
+def test_substitute_pole_below_window():
+    # t^-3 stores one coefficient; the t^-2 and t^-1 slots lie past its end
+    sigma = parse_series(F5, "t + t^2")
+    out = parse_series(F5, "t^-3").substitute(sigma, prec=5)
+    assert out.ell == -3 and out.agrees_with(sigma ** -3)
+
+
 def test_substitute_multiplicative_and_winding():
     rng = random.Random(2)
     for _ in range(20):
