@@ -240,13 +240,22 @@ def parse_element(ring: Ring, text: str):
 def _split_top_level(text: str, seps: str):
     """Split on separators outside parentheses, keeping each piece's sign.
 
-    A sign directly following '^' belongs to an exponent and never splits.
-    '*' is binary: the pieces around each one are kept, empty or not.
+    Returns (piece, position) pairs, the position being where the piece
+    starts in ``text``.  A sign directly following '^' belongs to an
+    exponent and never splits.  '*' is binary: the pieces around each one
+    are kept, empty or not; an empty piece is placed at the '*' that lacks
+    its operand, the one after it or, for the last piece, the one before.
     """
     parts = []
     depth = 0
     start = 0
     prev = ""
+
+    def cut(stop, star):
+        body = text[start:stop]
+        piece = body.strip()
+        parts.append((piece, start + len(body) - len(body.lstrip()) if piece else star))
+
     for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
@@ -256,7 +265,7 @@ def _split_top_level(text: str, seps: str):
                 raise ParseError("unbalanced parentheses", text, i)
         elif depth == 0 and ch in seps and prev != "^":
             if i > start or ch == "*":
-                parts.append(text[start:i].strip())
+                cut(i, i)
                 start = i if ch == "-" else i + 1
             elif ch == "+":
                 start = i + 1
@@ -264,9 +273,8 @@ def _split_top_level(text: str, seps: str):
             prev = ch
     if depth != 0:
         raise ParseError("unbalanced parentheses", text, len(text))
-    tail = text[start:].strip()
-    if tail or "*" in seps:
-        parts.append(tail)
+    if text[start:].strip() or "*" in seps:
+        cut(len(text), max(start - 1, 0))
     return parts
 
 
@@ -279,9 +287,9 @@ def parse_rational_function(ring: Ring, text: str):
 
     constant = ring.one
     factors = []
-    for piece in _split_top_level(text, "*"):
+    for piece, at in _split_top_level(text, "*"):
         if not piece:
-            raise ParseError("empty factor", text, 0)
+            raise ParseError("empty factor", text, at)
         m = re.match(r"^x(?:\^(-?\d+))?$", piece)
         if m:
             factors.append((ring.zero, int(m.group(1) or 1)))
@@ -295,7 +303,7 @@ def parse_rational_function(ring: Ring, text: str):
                 factors.append((ring.zero, n))
                 continue
             if body[0] not in "+-":
-                raise ParseError(f"expected x - <section> in {piece!r}", text, 0)
+                raise ParseError(f"expected x - <section> in {piece!r}", text, at)
             sec = parse_element(ring, body[1:])
             if body[0] == "-":
                 factors.append((sec, n))
@@ -334,7 +342,7 @@ def parse_form(ring: Ring, text: str, var: str = "t"):
     h_part = LaurentSeries.zero(ring)
     saw_two = False
     saw_one = False
-    for term in _split_top_level(text, "+-"):
+    for term, at in _split_top_level(text, "+-"):
         sign = 1
         body = term
         while body and body[0] in "+-":
@@ -354,7 +362,7 @@ def parse_form(ring: Ring, text: str, var: str = "t"):
                 coeff = LaurentSeries.one(ring)
                 slot = {"d" + var: "dt", "d" + gen: "de"}.get(body, "h")
             else:
-                raise ParseError(f"term {term!r} has no d{var}/d{gen} marker", text, 0)
+                raise ParseError(f"term {term!r} has no d{var}/d{gen} marker", text, at)
         if sign < 0:
             coeff = -coeff
         if slot == "h":
@@ -386,7 +394,7 @@ def parse_global_two_form(ring: Ring, text: str):
     gen = ring.gen if isinstance(ring, TruncatedPolynomialRing) else "e"
     poles: dict = {}
     tail: dict = {}
-    for term in _split_top_level(text, "+-"):
+    for term, at in _split_top_level(text, "+-"):
         sign = 1
         body = term
         while body and body[0] in "+-":
@@ -395,7 +403,7 @@ def parse_global_two_form(ring: Ring, text: str):
             body = body[1:].strip()
         m = _POLE_TERM.match(body)
         if not m or m.group("gen") != gen:
-            raise ParseError(f"term {term!r} lacks a d{gen} marker", text, 0)
+            raise ParseError(f"term {term!r} lacks a d{gen} marker", text, at)
         coeff = parse_element(ring, m.group("coeff") or "1")
         if sign < 0:
             coeff = ring.neg(coeff)
@@ -415,7 +423,7 @@ def parse_global_two_form(ring: Ring, text: str):
             j = int(tm.group("j") or 1)
             tail[j] = ring.add(tail.get(j, ring.zero), coeff)
             continue
-        raise ParseError(f"cannot read pole/tail part {rest!r}", text, 0)
+        raise ParseError(f"cannot read pole/tail part {rest!r}", text, at)
     pole_forms = {
         v: {k: AOneForm(ring, c) for k, c in parts.items()} for v, parts in poles.items()
     }

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
+from math import isqrt, lcm
 
 from .errors import MixedRings, NonUnit, NotAHomomorphism, UnsupportedRing
 
@@ -31,6 +32,11 @@ class Ring:
     nilpotency_index: int
     has_section: bool
     is_field: bool
+    #: integer slots one element occupies in a packed series product
+    #: (series._kronecker_product); the slots of an element of width w are
+    #: spaced 2w - 1 apart, so the product of two elements never overlaps
+    #: the next one.
+    width = 1
 
     # -- arithmetic ------------------------------------------------------
 
@@ -62,11 +68,23 @@ class Ring:
         return result
 
     def dot(self, xs, ys):
-        """Sum of pairwise products; the convolution kernel for series."""
+        """Sum of pairwise products."""
         acc = self.zero
         for x, y in zip(xs, ys):
             acc = self.add(acc, self.mul(x, y))
         return acc
+
+    def encode(self, xs):
+        """(slots, den): the elements xs as integer slots over one denominator.
+
+        Each element gives ``width`` slots followed by ``width - 1`` zeros.
+        """
+        raise NotImplementedError
+
+    def decode(self, slots, den):
+        """The elements whose slots, over ``den``, are ``slots``; each element
+        reads the first ``width`` of its ``2*width - 1`` slots."""
+        raise NotImplementedError
 
     # -- structure -------------------------------------------------------
 
@@ -130,7 +148,7 @@ class PrimeField(Ring):
     has_section = True
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.characteristic = p
@@ -161,6 +179,13 @@ class PrimeField(Ring):
 
     def dot(self, xs, ys):
         return sum(map(operator.mul, xs, ys)) % self.p
+
+    def encode(self, xs):
+        return list(xs), 1
+
+    def decode(self, slots, den):
+        p = self.p
+        return [v % p for v in slots]
 
     def is_zero(self, x):
         return x == 0
@@ -246,6 +271,13 @@ class RationalField(Ring):
     def dot(self, xs, ys):
         return Fraction(sum(map(operator.mul, xs, ys)))
 
+    def encode(self, xs):
+        den = lcm(*[x.denominator for x in xs])
+        return [x.numerator * (den // x.denominator) for x in xs], den
+
+    def decode(self, slots, den):
+        return [Fraction(v, den) for v in slots]
+
     def is_zero(self, x):
         return not x
 
@@ -312,6 +344,7 @@ class TruncatedPolynomialRing(Ring):
         self.order = order
         self.characteristic = base.characteristic
         self.nilpotency_index = order
+        self.width = order
         self.is_field = order == 1
         self.zero = (base.zero,) * order
         self.one = (base.one,) + (base.zero,) * (order - 1)
@@ -361,6 +394,16 @@ class TruncatedPolynomialRing(Ring):
                     for j in range(m - i):
                         acc[i + j] += xi * y[j]
         return self._normalize(acc)
+
+    def encode(self, xs):
+        pad = self.zero[1:]
+        return self.base.encode([c for x in xs for c in x + pad])
+
+    def decode(self, slots, den):
+        m = self.order
+        kept = [v for j in range(0, len(slots), 2 * m - 1) for v in slots[j : j + m]]
+        flat = self.base.decode(kept, den)
+        return [tuple(flat[j : j + m]) for j in range(0, len(flat), m)]
 
     def inv(self, x):
         # Triangular back-substitution on c0*(1 + nilpotent part).
@@ -508,6 +551,13 @@ class IntegersModPrimePower(Ring):
 
     def dot(self, xs, ys):
         return sum(map(operator.mul, xs, ys)) % self.pm
+
+    def encode(self, xs):
+        return list(xs), 1
+
+    def decode(self, slots, den):
+        pm = self.pm
+        return [v % pm for v in slots]
 
     def is_zero(self, x):
         return x == 0

@@ -5,12 +5,15 @@ explicit precision bound N: coefficients at indices >= N are unknown,
 everything below N outside the stored window is exactly zero.  Exact
 data (Laurent polynomials) carry infinite precision.  All operations
 propagate the best sound precision and raise IndeterminateAtPrecision
-rather than answer from unknown coefficients.
+rather than answer from unknown coefficients.  A product of two windows
+longer than one coefficient is one Kronecker substitution: both
+coefficient vectors are packed into integers, multiplied once, unpacked.
 
 A unit splits once as f = c * t^w * h / G, h in A[[t]] and G the exact
 product of the geometric inverses of the peeled nilpotent negative tail;
-inverse and unit coordinates are read from this split.  h is known below
-(f.prec - w) + ell(G): one product with G, not one loss per peeled factor.
+inverse and unit coordinates are read from this split, which the series
+keeps.  h is known below (f.prec - w) + ell(G): one product with G, not
+one loss per peeled factor.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ DEFAULT_PRECISION = 24
 class LaurentSeries:
     """An element of A((t)) known modulo O(t^prec)."""
 
-    __slots__ = ("ring", "ell", "coeffs", "prec")
+    __slots__ = ("ring", "ell", "coeffs", "prec", "_split")
 
     def __init__(self, ring: Ring, ell: int, coeffs, prec=INF):
         coeffs = list(coeffs)
@@ -53,6 +56,7 @@ class LaurentSeries:
             tail -= 1
         self.ring = ring
         self.prec = prec
+        self._split = None
         if lead == tail:
             self.ell = 0
             self.coeffs = ()
@@ -152,22 +156,19 @@ class LaurentSeries:
         prec = min(la + other.prec, lb + self.prec)
         if not self.coeffs or not other.coeffs:
             return LaurentSeries.zero(ring, prec)
-        a, b = self.coeffs, other.coeffs
-        na, nb = len(a), len(b)
         lo = self.ell + other.ell
-        length = na + nb - 1
+        length = len(self.coeffs) + len(other.coeffs) - 1
         if prec != INF:
             length = min(length, prec - lo)
-        dot = ring.dot
-        out = []
-        for n in range(length):
-            i0 = max(0, n - nb + 1)
-            i1 = min(na, n + 1)
-            j = n - i0
-            j_stop = n - i1
-            out.append(
-                dot(a[i0:i1], b[j : (j_stop if j_stop >= 0 else None) : -1])
-            )
+        if length <= 0:
+            return LaurentSeries(ring, lo, (), prec)
+        a, b = self.coeffs[:length], other.coeffs[:length]
+        if len(a) == 1:
+            out = [ring.mul(a[0], y) for y in b]
+        elif len(b) == 1:
+            out = [ring.mul(x, b[0]) for x in a]
+        else:
+            out = _kronecker_product(ring, a, b, length)
         return LaurentSeries(ring, lo, out, prec)
 
     def scalar_mul(self, c) -> LaurentSeries:
@@ -260,7 +261,9 @@ class LaurentSeries:
         Negative powers of t go through sigma's inverse.  Precision is
         propagated by the underlying operations; the unknown tail of f
         enters at order f.prec since sigma has order one.  An optional
-        prec caps the result (and the working window, for speed).
+        prec caps the result (and the working window, for speed): sigma^-k
+        is kept to prec + (depth - k), the orders the remaining factors
+        sigma^-1 will lose.
         """
         self._check(sigma)
         ring = self.ring
@@ -287,7 +290,8 @@ class LaurentSeries:
             for i in range(-1, self.ell - 1, -1):
                 power = power * sig_inv
                 if prec is not None:
-                    power = power.truncate(prec)
+                    # each further factor sigma^-1 costs one order
+                    power = power.truncate(prec + depth + i)
                 ci = self.coeffs[i - self.ell] if i < self.end() else ring.zero
                 if not ring.is_zero(ci):
                     acc = acc + power.scalar_mul(ci)
@@ -409,7 +413,11 @@ def _split_unit(f: LaurentSeries) -> _UnitSplit:
     f*t^-w/c), pushing the rest into higher powers of the maximal ideal,
     so the loop ends (m^e = 0).  Only that part of h0*G is formed per
     step; h = h0*G is formed once.  Raises when f is too short to fix G.
+    The split is kept on f, which is immutable, so every later caller
+    reads the same one; a split that raised is tried afresh next time.
     """
+    if f._split is not None:
+        return f._split
     ring = f.ring
     w = f.winding_number()
     c = f.coeff(w)
@@ -429,22 +437,62 @@ def _split_unit(f: LaurentSeries) -> _UnitSplit:
         tail = h0.truncate(-geom.ell) * geom
     if tail.prec < 0:
         raise IndeterminateAtPrecision(f"negative tail of {f} not determined")
-    return _UnitSplit(w, c, raw, geom, h0 * geom)
+    f._split = _UnitSplit(w, c, tuple(raw), geom, h0 * geom)
+    return f._split
 
 
 def _unit_power_series_inverse(g: LaurentSeries, n: int) -> LaurentSeries:
-    """Inverse of g = u*(1 + O(t)) below t^n, u a unit of A, by back-substitution."""
+    """Inverse of g = u*(1 + O(t)) below t^min(n, g.prec), u a unit of A.
+
+    Back-substitution over the stored support S of g above t^0: with
+    r_j = -g_j/u, out_k = sum_{j in S, j <= k} r_j * out_{k-j}, one
+    ``ring.dot`` per coefficient, so a sparse g costs O(n * |S|).
+    """
     ring = g.ring
+    n = min(n, g.prec)
     if n <= 0:
         raise IndeterminateAtPrecision("no known coefficients to invert")
     g0inv = ring.inv(g.coeff(0))
+    support = [j for j in range(1, min(g.end(), n)) if not ring.is_zero(g.coeff(j))]
+    ratios = [ring.neg(ring.mul(g0inv, g.coeff(j))) for j in support]
     out = [g0inv]
-    gw = [g.coeff(i) if g.known(i) else ring.zero for i in range(n)]
+    used = 0
     for k in range(1, n):
-        s = ring.zero
-        for j in range(1, k + 1):
-            gj = gw[j]
-            if not ring.is_zero(gj):
-                s = ring.add(s, ring.mul(gj, out[k - j]))
-        out.append(ring.neg(ring.mul(g0inv, s)))
+        if used < len(support) and support[used] == k:
+            used += 1
+        out.append(ring.dot(ratios[:used], [out[k - j] for j in support[:used]]))
     return LaurentSeries(ring, 0, out, n)
+
+
+def _kronecker_product(ring: Ring, a, b, length: int) -> list:
+    """The first ``length`` coefficients of (sum a_i t^i) * (sum b_j t^j).
+
+    Kronecker substitution: ``ring.encode`` turns each vector into integer
+    slots over one denominator, the slots become the digits of one integer
+    in base 2^k, the two integers are multiplied once, and ``ring.decode``
+    reads the coefficients back from the product's digits.  An output slot
+    sums at most min(len(a), len(b)) * width products, so k holds it (and
+    every input slot) with a sign bit and no digit carries into the next.
+    Slots are stored with an offset of 2^(k-1) so that every digit is read
+    as a plain unsigned number.
+    """
+    xa, da = ring.encode(a)
+    xb, db = ring.encode(b)
+    width = ring.width
+    top_a, top_b = max(1, *map(abs, xa)), max(1, *map(abs, xb))
+    bound = top_a * top_b * min(len(a), len(b)) * width
+    size = bound.bit_length() // 8 + 1
+    half = 1 << (8 * size - 1)
+    offset = bytes(size - 1) + b"\x80"
+
+    def pack(xs):
+        digits = b"".join([(x + half).to_bytes(size, "little") for x in xs])
+        return int.from_bytes(digits, "little") - int.from_bytes(offset * len(xs), "little")
+
+    slots = length * (2 * width - 1)
+    product = pack(xa) * pack(xb) + int.from_bytes(offset * slots, "little")
+    digits = (product & ((1 << (8 * size * slots)) - 1)).to_bytes(size * slots, "little")
+    values = [
+        int.from_bytes(digits[i : i + size], "little") - half for i in range(0, len(digits), size)
+    ]
+    return ring.decode(values, da * db)

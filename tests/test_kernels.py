@@ -1,0 +1,188 @@
+"""The packed series product and the power-series inverse against references.
+
+The reference product is the schoolbook convolution written here with the
+rings' add and mul only, so it shares no code with the packed kernel.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from ccsym.errors import IndeterminateAtPrecision
+from ccsym.parsing import parse_ring, parse_series
+from ccsym.series import (
+    INF,
+    LaurentSeries,
+    _kronecker_product,
+    _split_unit,
+    _unit_power_series_inverse,
+)
+from ccsym.symbols import contou_carrere, witt_decompose
+
+
+def schoolbook(ring, a, b, length):
+    out = [ring.zero] * length
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < length:
+                out[i + j] = ring.add(out[i + j], ring.mul(x, y))
+    return out
+
+
+def vectors(ring, max_len):
+    elements = list(ring.iter_elements())
+    for n in range(1, max_len + 1):
+        yield from itertools.product(elements, repeat=n)
+
+
+@pytest.mark.parametrize("spec,max_len", [("F2[e]/(e^2)", 3), ("Z/4", 3), ("F3[e]/(e^2)", 2)])
+def test_every_short_product(spec, max_len):
+    ring = parse_ring(spec)
+    vs = list(vectors(ring, max_len))
+    for a in vs:
+        for b in vs:
+            full = len(a) + len(b) - 1
+            for length in {full, max(1, full - 2)}:
+                assert _kronecker_product(ring, a, b, length) == schoolbook(ring, a, b, length)
+
+
+SEEDED_RINGS = [
+    "F2",
+    "F7",
+    "F65521",
+    "Z/243",
+    "Z/1024",
+    "F2[e]/(e^2)",
+    "F7[e]/(e^4)",
+    "F65521[e]/(e^3)",
+    "Q",
+    "Q[e]/(e^3)",
+]
+
+
+def _top(ring):
+    """The element with every component at its largest representative."""
+    if ring.characteristic == 0:
+        big = Fraction(-(10**15) + 1, 10**12 - 11)
+        return big if ring.width == 1 else (big,) * ring.width
+    if ring.width == 1:
+        return ring.characteristic - 1
+    return (ring.characteristic - 1,) * ring.width
+
+
+#: denominators of the rational test data: large, but with a bounded lcm
+DENOMINATORS = (1, 6, 2**31 - 1, 3**27, 10**12 - 11)
+
+
+def _scalar(ring, rng):
+    if ring.characteristic == 0:
+        return Fraction(rng.randint(-(10**15), 10**15), rng.choice(DENOMINATORS))
+    return rng.randrange(ring.characteristic)
+
+
+def _element(ring, rng):
+    if ring.width == 1:
+        return _scalar(ring, rng)
+    return tuple(_scalar(ring.base, rng) for _ in range(ring.width))
+
+
+def _vector(ring, rng, n, kind):
+    if kind == "top":
+        return [_top(ring)] * n
+    out = [_element(ring, rng) for _ in range(n)]
+    if kind == "padded" and n > 2:
+        pad = rng.randint(1, n // 2)
+        out[:pad] = [ring.zero] * pad
+        out[-pad:] = [ring.zero] * pad
+    return out
+
+
+SHAPES = [(1, 1), (1, 200), (200, 1), (2, 3), (5, 200), (37, 64), (200, 200)]
+
+
+@pytest.mark.parametrize("spec", SEEDED_RINGS)
+def test_seeded_products(spec):
+    ring = parse_ring(spec)
+    rng = random.Random(f"kernels:{spec}")
+    for (na, nb), kind in itertools.product(SHAPES, ("random", "top", "padded")):
+        if (na, nb) == (200, 200) and kind != "top":
+            continue  # one worst case at full length keeps the reference quick
+        a, b = _vector(ring, rng, na, kind), _vector(ring, rng, nb, kind)
+        full = na + nb - 1
+        for length in (full, rng.randint(1, full)):
+            got = _kronecker_product(ring, a[:length], b[:length], length)
+            assert got == schoolbook(ring, a, b, length), (spec, na, nb, kind, length)
+
+
+@pytest.mark.parametrize("spec", SEEDED_RINGS)
+def test_series_product_precision(spec):
+    """Products of known windows stop at the propagated precision."""
+    ring = parse_ring(spec)
+    rng = random.Random(f"series:{spec}")
+    for _ in range(12):
+        na, nb = rng.randint(1, 40), rng.randint(1, 40)
+        la, lb = rng.randint(-5, 5), rng.randint(-5, 5)
+        a, b = _vector(ring, rng, na, "padded"), _vector(ring, rng, nb, "random")
+        pa = la + na + rng.randint(-na, 3)
+        pb = INF if rng.random() < 0.3 else lb + nb + rng.randint(-nb, 3)
+        f, g = LaurentSeries(ring, la, a, pa), LaurentSeries(ring, lb, b, pb)
+        low_f = f.ell if f.coeffs else f.prec
+        low_g = g.ell if g.coeffs else g.prec
+        prec = min(low_f + g.prec, low_g + f.prec)
+        length = max(0, min(len(f.coeffs) + len(g.coeffs) - 1, prec - f.ell - g.ell))
+        expected = LaurentSeries(
+            ring, f.ell + g.ell, schoolbook(ring, f.coeffs, g.coeffs, length), prec
+        )
+        assert f * g == expected
+        assert g * f == expected
+
+
+@pytest.mark.parametrize("spec", ["F5", "Z/125", "F3[e]/(e^3)", "Q", "Q[e]/(e^2)"])
+def test_inverse_of_sparse_binomials(spec):
+    ring = parse_ring(spec)
+    rng = random.Random(f"binomial:{spec}")
+    for k in (1, 2, 5, 23):
+        for n in (1, k, k + 1, 60):
+            u = ring.random_unit(rng)
+            g = LaurentSeries.from_terms(ring, {0: u, k: ring.random_element(rng)})
+            inv = _unit_power_series_inverse(g, n)
+            assert inv.prec == n
+            assert g * inv == LaurentSeries.one(ring, prec=n)
+
+
+@pytest.mark.parametrize("spec", ["F5", "Z/125", "F3[e]/(e^3)", "Q", "Q[e]/(e^2)"])
+def test_inverse_of_dense_series_short_of_the_window(spec):
+    ring = parse_ring(spec)
+    rng = random.Random(f"dense:{spec}")
+    for known in (1, 4, 17):
+        coeffs = [ring.random_unit(rng)] + [ring.random_element(rng) for _ in range(known + 3)]
+        g = LaurentSeries(ring, 0, coeffs, known)
+        inv = _unit_power_series_inverse(g, known + 10)
+        assert inv.prec == known
+        assert g * inv == LaurentSeries.one(ring, prec=known)
+    with pytest.raises(IndeterminateAtPrecision):
+        _unit_power_series_inverse(LaurentSeries(ring, 0, [ring.one], 0), 5)
+
+
+def test_split_is_kept_on_the_series():
+    ring = parse_ring("F3[e]/(e^2)")
+    f = parse_series(ring, "e*t^-2 + 2 + t - t^3")
+    g = parse_series(ring, "1 + e*t^-1 + t^2")
+    split = _split_unit(f)
+    assert _split_unit(f) is split
+    f.inverse()
+    witt_decompose(f)
+    contou_carrere(f, g)
+    assert _split_unit(f) is split
+    assert f == parse_series(ring, "e*t^-2 + 2 + t - t^3")
+    assert hash(f) == hash(parse_series(ring, "e*t^-2 + 2 + t - t^3"))
+
+
+def test_failed_split_raises_again():
+    ring = parse_ring("F3[e]/(e^2)")
+    f = parse_series(ring, "e*t^-3 + 1 + O(t^2)")
+    for _ in range(2):
+        with pytest.raises(IndeterminateAtPrecision):
+            _split_unit(f)

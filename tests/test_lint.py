@@ -1,4 +1,9 @@
-"""Library failures stay typed: no bare asserts, untyped raises or catch-alls."""
+"""Library failures stay typed and arithmetic stays exact.
+
+No bare asserts, untyped raises or catch-alls; no floating point anywhere
+except the INF precision sentinel and the sampling probabilities of the
+random generators.
+"""
 
 import ast
 from pathlib import Path
@@ -27,4 +32,42 @@ def test_failures_are_typed(path):
             node.type is None or _name(node.type) == "Exception"
         ):
             found.append((node.lineno, "catch-all except"))
+    assert not found, f"{path.name}: {found}"
+
+
+def _allowed_floats(path, tree):
+    """Ids of the float nodes the library may hold: ``INF = float("inf")``
+    and, in randgen.py, the p of ``rng.random() < p``."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["INF"]
+            and _name(node.value) == "float"
+            and [getattr(a, "value", None) for a in node.value.args] == ["inf"]
+        ):
+            allowed.add(id(node.value))
+        elif (
+            path.name == "randgen.py"
+            and isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Call)
+            and isinstance(node.left.func, ast.Attribute)
+            and node.left.func.attr == "random"
+        ):
+            allowed.update(id(c) for c in node.comparators)
+    return allowed
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_floating_point(path):
+    tree = ast.parse(path.read_text(), str(path))
+    allowed = _allowed_floats(path, tree)
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((node.lineno, f"float literal {node.value!r}"))
+        elif isinstance(node, ast.Call) and _name(node) == "float":
+            found.append((node.lineno, "float(...)"))
     assert not found, f"{path.name}: {found}"

@@ -128,3 +128,36 @@ def test_mhat_format_roundtrip():
         mh = parse_mhat(AX, text)
         again = parse_mhat(AX, mh.format())
         assert again.exponent == mh.exponent and again.unit == mh.unit
+
+
+@pytest.mark.parametrize(
+    "text,pos",
+    [
+        ("(x - 1) *", 8),
+        ("* (x - 1)", 0),
+        ("2 * * (x - 1)", 4),
+        ("(x - 1)  *  ", 9),
+        ("", 0),
+        ("(x - 1) * (x 2)", 10),
+    ],
+)
+def test_rational_function_error_positions(text, pos):
+    with pytest.raises(ParseError) as info:
+        parse_rational_function(parse_ring("F5"), text)
+    assert info.value.pos == pos
+    assert f"at position {pos} in" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "parse,text,pos",
+    [
+        (parse_form, "t*dt + 3", 7),
+        (parse_form, "dt - 2*t", 3),
+        (parse_global_two_form, "de/(x - 1) + 2*dx", 13),
+        (parse_global_two_form, "de/(x - 1) - de*y", 11),
+    ],
+)
+def test_term_error_positions(parse, text, pos):
+    with pytest.raises(ParseError) as info:
+        parse(parse_ring("F3[e]/(e^2)"), text)
+    assert info.value.pos == pos

@@ -140,6 +140,27 @@ def test_substitute_pole_below_window():
     assert out.ell == -3 and out.agrees_with(sigma ** -3)
 
 
+def test_substitute_pole_keeps_requested_window():
+    # sigma^-k is known to O(t^(N-k+1)) from sigma^-1 known to O(t^N); with
+    # N = prec + depth every power reaches the requested window
+    sigma = parse_series(F5, "t + t^2")
+    out = parse_series(F5, "t^-3").substitute(sigma, prec=5)
+    assert out.prec == 5 and out == (sigma.inverse(prec=40) ** 3).truncate(5)
+    rng = random.Random(4)
+    for _ in range(20):
+        depth = rng.randint(1, 5)
+        prec = rng.randint(1 - depth, 8)
+        f = s(F7, {i: rng.randrange(7) for i in range(-depth, 4)})
+        sigma = s(F7, {1: rng.randrange(1, 7), 2: rng.randrange(7), 3: rng.randrange(7)})
+        sig_inv = sigma.inverse(prec=prec + 40)
+        exact = LaurentSeries.zero(F7)
+        for i in range(f.ell, f.end()):
+            power = sig_inv ** -i if i < 0 else sigma ** i
+            exact = exact + power.scalar_mul(f.coeff(i))
+        out = f.substitute(sigma, prec=prec)
+        assert out.prec == prec and out == exact.truncate(prec)
+
+
 def test_substitute_multiplicative_and_winding():
     rng = random.Random(2)
     for _ in range(20):
