@@ -29,7 +29,7 @@ from .projline import (
     tame_symbol_at_point,
     weil_check,
 )
-from .rings import PrimeField, RationalField, TruncatedPolynomialRing
+from .rings import TruncatedPolynomialRing
 from .suites import SUITES, SuiteConfig, run_suite
 from .symbols import contou_carrere, kato_residue, witt_decompose
 
@@ -103,7 +103,7 @@ def _kato_ring(args):
     if args.xprec < 1:
         raise CCSymError(f"--xprec must be a positive level, got {args.xprec}")
     ring = parse_ring(args.ring)
-    if isinstance(ring, (PrimeField, RationalField)):
+    if ring.is_field and ring.residue_field == ring:  # a base field, not k[x]/(x^1)
         ring = TruncatedPolynomialRing(ring, "x", args.xprec)
     if not isinstance(ring, TruncatedPolynomialRing) or ring.gen != "x":
         raise CCSymError(f"{ring} is not a level ring k[x]/(x^m) or base field")

@@ -18,7 +18,8 @@ class NonUnit(CCSymError):
 
 
 class UnsupportedRing(CCSymError):
-    """The operation is not defined for this ring kind."""
+    """No such ring (non-prime p, exponent or truncation order below 1), or
+    the operation is not defined for this ring kind."""
 
 
 class NotAHomomorphism(CCSymError):

@@ -100,7 +100,7 @@ class AOneForm:
         return hash((self.ring, self.coeff))
 
     def format(self) -> str:
-        gen = self.ring.gen if isinstance(self.ring, TruncatedPolynomialRing) else "e"
+        gen = self.ring.gen
         if self.ring.is_zero(self.coeff):
             return "0"
         cs = self.ring.format_element(self.coeff)
@@ -146,7 +146,7 @@ class OneForm:
         )
 
     def format(self, var: str = "t") -> str:
-        gen = self.ring.gen if isinstance(self.ring, TruncatedPolynomialRing) else "e"
+        gen = self.ring.gen
         return f"({self.dt.format(var)})*d{var} + ({self.de.format(var)})*d{gen}"
 
     def __repr__(self):
@@ -176,8 +176,7 @@ class TwoForm:
         return isinstance(other, TwoForm) and self.h == other.h
 
     def format(self, var: str = "t") -> str:
-        gen = self.ring.gen if isinstance(self.ring, TruncatedPolynomialRing) else "e"
-        return f"({self.h.format(var)})*d{gen}^d{var}"
+        return f"({self.h.format(var)})*d{self.ring.gen}^d{var}"
 
     def __repr__(self):
         return f"TwoForm({self.format()})"

@@ -1,17 +1,18 @@
 """Text grammars: ring specs, elements, series, rational functions, forms.
 
 Ring specs look like "F5", "Q", "F3[e]/(e^2)", "Q[e]/(e^3)", "Z/25" (or
-"Z/5^2").  Elements are integer/rational polynomial expressions in the
-nilpotent generator; series add the variable and an optional precision
-marker, e.g. "1 - e*t^-1 + 2*t^3 + O(t^8)".  Rational functions are
-factored products "c * (x - s1)^n1 * ...".
+"Z/5^2"); "Z/5" and "F5" name the same ring.  Elements are
+integer/rational polynomial expressions in the nilpotent generator;
+series add the variable and an optional precision marker, e.g.
+"1 - e*t^-1 + 2*t^3 + O(t^8)".  Rational functions are factored products
+"c * (x - s1)^n1 * ...".
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import ParseError, UnsupportedRing
 from .rings import (
     IntegersModPrimePower,
     PrimeField,
@@ -68,7 +69,7 @@ def parse_ring(text: str) -> Ring:
         if m:
             try:
                 return build(m)
-            except ValueError as exc:
+            except UnsupportedRing as exc:
                 raise ParseError(f"bad ring spec {text!r}: {exc}") from exc
     raise ParseError(f"unrecognized ring spec {text!r}")
 
@@ -278,6 +279,17 @@ def _split_top_level(text: str, seps: str):
     return parts
 
 
+def _strip_signs(term: str):
+    """(sign, body): the leading '+'/'-' signs of a term folded into +-1."""
+    sign = 1
+    body = term
+    while body and body[0] in "+-":
+        if body[0] == "-":
+            sign = -sign
+        body = body[1:].strip()
+    return sign, body
+
+
 _FACTOR = re.compile(r"^\((.*)\)(?:\^(-?\d+))?$", re.S)
 
 
@@ -336,19 +348,14 @@ def parse_form(ring: Ring, text: str, var: str = "t"):
     """A one-form 'f*dt + g*de' or a two-form 'h*de^dt'."""
     from .forms import OneForm, TwoForm
 
-    gen = ring.gen if isinstance(ring, TruncatedPolynomialRing) else "e"
+    gen = ring.gen
     dt_part = LaurentSeries.zero(ring)
     de_part = LaurentSeries.zero(ring)
     h_part = LaurentSeries.zero(ring)
     saw_two = False
     saw_one = False
     for term, at in _split_top_level(text, "+-"):
-        sign = 1
-        body = term
-        while body and body[0] in "+-":
-            if body[0] == "-":
-                sign = -sign
-            body = body[1:].strip()
+        sign, body = _strip_signs(term)
         for marker, slot in (
             (f"*d{gen}^d{var}", "h"),
             (f"*d{var}", "dt"),
@@ -391,16 +398,11 @@ def parse_global_two_form(ring: Ring, text: str):
     from .forms import AOneForm
     from .projline import GlobalTwoForm
 
-    gen = ring.gen if isinstance(ring, TruncatedPolynomialRing) else "e"
+    gen = ring.gen
     poles: dict = {}
     tail: dict = {}
     for term, at in _split_top_level(text, "+-"):
-        sign = 1
-        body = term
-        while body and body[0] in "+-":
-            if body[0] == "-":
-                sign = -sign
-            body = body[1:].strip()
+        sign, body = _strip_signs(term)
         m = _POLE_TERM.match(body)
         if not m or m.group("gen") != gen:
             raise ParseError(f"term {term!r} lacks a d{gen} marker", text, at)

@@ -197,18 +197,24 @@ def _section_set(f: SplitRationalFunction, g: SplitRationalFunction):
     points.append(SectionPoint.infinity())
     return points
 
-def weil_check(f: SplitRationalFunction, g: SplitRationalFunction) -> ReciprocityResult:
-    """Product of tame symbols over the support of div(f), div(g) and infinity."""
+
+def _point_product(f, g, symbol) -> ReciprocityResult:
+    """Product of symbol(pt) over the sections of f and g and infinity."""
     ring = f.ring
-    if not ring.is_field:
-        raise UnsupportedRing("Weil reciprocity is stated over a field")
     per_point = []
     prod = ring.one
     for pt in _section_set(f, g):
-        s = tame_symbol_at_point(f, g, pt)
+        s = symbol(pt)
         per_point.append((pt, s))
         prod = ring.mul(prod, s)
     return ReciprocityResult(prod, prod == ring.one, per_point)
+
+
+def weil_check(f: SplitRationalFunction, g: SplitRationalFunction) -> ReciprocityResult:
+    """Product of tame symbols over the support of div(f), div(g) and infinity."""
+    if not f.ring.is_field:
+        raise UnsupportedRing("Weil reciprocity is stated over a field")
+    return _point_product(f, g, lambda pt: tame_symbol_at_point(f, g, pt))
 
 
 def anderson_romo_check(f: SplitRationalFunction, g: SplitRationalFunction) -> ReciprocityResult:
@@ -220,16 +226,11 @@ def anderson_romo_check(f: SplitRationalFunction, g: SplitRationalFunction) -> R
     expanded at window 1; were that ever too short, contou_carrere would
     raise a typed precision error, never return a wrong value.
     """
-    ring = f.ring
-    if g.ring != ring:
+    if g.ring != f.ring:
         raise MixedRings("operands live over different rings")
-    per_point = []
-    prod = ring.one
-    for pt in _section_set(f, g):
-        s = contou_carrere(f.local_expansion(pt, 1), g.local_expansion(pt, 1))
-        per_point.append((pt, s))
-        prod = ring.mul(prod, s)
-    return ReciprocityResult(prod, prod == ring.one, per_point)
+    return _point_product(
+        f, g, lambda pt: contou_carrere(f.local_expansion(pt, 1), g.local_expansion(pt, 1))
+    )
 
 
 class GlobalTwoForm:

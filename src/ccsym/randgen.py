@@ -79,10 +79,11 @@ def draw_decomposition(ring: Ring, rng, window: int = 6, max_winding: int = 2,
 def draw_sections(ring: Ring, rng, count: int):
     """Up to `count` section values with pairwise distinct reductions."""
     k = ring.residue_field
-    if hasattr(k, "p"):
-        residues = list(range(k.p))
+    p = k.characteristic
+    if p:
+        residues = list(range(p))
         rng.shuffle(residues)
-        residues = residues[: min(count, k.p)]
+        residues = residues[: min(count, p)]
         lifts = [ring.lift(k.from_int(r)) for r in residues]
     else:
         chosen = rng.sample(range(-8, 9), min(count, 17))

@@ -1,11 +1,11 @@
 """Exact arithmetic in local Artinian coefficient rings.
 
-Supported rings: prime fields F_p, the rationals Q, truncated polynomial
-rings k[e]/(e^m) over either base field, and Z/p^m.  Elements are plain
-Python data (int, Fraction, or a coefficient tuple) in canonical form;
-each ring object supplies the operations, in the style of dense-polynomial
-ground domains.  Every element of a local ring here is either a unit
-(nonzero residue) or nilpotent.
+Supported rings: Z/p^m (the prime field F_p at m = 1), the rationals Q,
+and truncated polynomial rings k[e]/(e^m) over either base field.
+Elements are plain Python data (int, Fraction, or a coefficient tuple) in
+canonical form; each ring object supplies the operations, in the style of
+dense-polynomial ground domains.  Every element of a local ring here is
+either a unit (nonzero residue) or nilpotent.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ class Ring:
     nilpotency_index: int
     has_section: bool
     is_field: bool
+    #: name of the nilpotent generator in printed forms (de, de^dt); rings
+    #: without one print the generic "e"
+    gen = "e"
     #: integer slots one element occupies in a packed series product
     #: (series._kronecker_product); the slots of an element of width w are
     #: spaced 2w - 1 apart, so the product of two elements never overlaps
@@ -140,52 +143,61 @@ class Ring:
         return self.__str__()
 
 
-class PrimeField(Ring):
-    """F_p with elements stored as reduced ints in [0, p)."""
+class IntegersModPrimePower(Ring):
+    """Z/p^m with elements stored as reduced ints in [0, p^m).
 
-    is_field = True
-    nilpotency_index = 1
-    has_section = True
+    A quotient of a discrete valuation ring; m = 1 is the prime field F_p,
+    printed ``F<p>``.  Symbols are fully supported for every m; for m > 1
+    the differential-form layer rejects this ring because its residue map
+    has no ring-homomorphism section.
+    """
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, m: int):
         if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
-            raise ValueError(f"{p} is not prime")
+            raise UnsupportedRing(f"{p} is not prime")
+        if m < 1:
+            raise UnsupportedRing("exponent must be >= 1")
         self.p = p
-        self.characteristic = p
+        self.m = m
+        self.pm = p**m
+        self.characteristic = self.pm
+        self.nilpotency_index = m
+        self.is_field = m == 1
+        self.has_section = m == 1
         self.zero = 0
-        self.one = 1 % p
+        self.one = 1 % self.pm
 
     def add(self, x, y):
-        return (x + y) % self.p
+        return (x + y) % self.pm
 
     def sub(self, x, y):
-        return (x - y) % self.p
+        return (x - y) % self.pm
 
     def neg(self, x):
-        return -x % self.p
+        return -x % self.pm
 
     def mul(self, x, y):
-        return x * y % self.p
+        return x * y % self.pm
 
     def inv(self, x):
         if x % self.p == 0:
-            raise NonUnit(f"0 is not invertible in {self}")
-        return pow(x, -1, self.p)
+            raise NonUnit(f"{x} is not invertible in {self}")
+        return pow(x, -1, self.pm)
 
     def pow(self, x, n: int):
         if n < 0:
-            return pow(self.inv(x), -n, self.p)
-        return pow(x, n, self.p)
+            return pow(self.inv(x), -n, self.pm)
+        return pow(x, n, self.pm)
 
     def dot(self, xs, ys):
-        return sum(map(operator.mul, xs, ys)) % self.p
+        return sum(map(operator.mul, xs, ys)) % self.pm
 
     def encode(self, xs):
         return list(xs), 1
 
     def decode(self, slots, den):
-        p = self.p
-        return [v % p for v in slots]
+        pm = self.pm
+        return [v % pm for v in slots]
 
     def is_zero(self, x):
         return x == 0
@@ -198,40 +210,61 @@ class PrimeField(Ring):
 
     @property
     def residue_field(self):
-        return self
+        return self if self.m == 1 else PrimeField(self.p)
 
     def residue(self, x):
-        return x
+        return x % self.p
 
     def lift(self, c):
-        return c % self.p
+        return c % self.pm
 
     def from_int(self, n):
-        return n % self.p
+        return n % self.pm
 
     def random_element(self, rng):
-        return rng.randrange(self.p)
+        return rng.randrange(self.pm)
 
+    # The m = 1 branches keep the seeded draw streams of F_p: a unit is one
+    # randrange(1, p), and zero is returned without drawing (randrange(1)
+    # would still advance the generator).
     def random_unit(self, rng):
-        return rng.randrange(1, self.p)
+        if self.m == 1:
+            return rng.randrange(1, self.p)
+        x = rng.randrange(self.pm)
+        while x % self.p == 0:
+            x = rng.randrange(self.pm)
+        return x
 
     def random_nilpotent(self, rng):
-        return 0
+        if self.m == 1:
+            return 0
+        return self.p * rng.randrange(self.pm // self.p) % self.pm
 
     def iter_elements(self):
-        return iter(range(self.p))
+        return iter(range(self.pm))
 
     def format_element(self, x):
         return str(x)
 
     def __str__(self):
-        return f"F{self.p}"
+        return f"F{self.p}" if self.m == 1 else f"Z/{self.pm}"
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+        return (
+            isinstance(other, IntegersModPrimePower)
+            and other.p == self.p
+            and other.m == self.m
+        )
 
     def __hash__(self):
-        return hash(("F", self.p))
+        return hash(("Z", self.p, self.m))
+
+
+class PrimeField(IntegersModPrimePower):
+    """F_p, the ring Z/p^m at m = 1."""
+
+    def __init__(self, p: int):
+        super().__init__(p, 1)
 
 
 class RationalField(Ring):
@@ -338,7 +371,7 @@ class TruncatedPolynomialRing(Ring):
         if not base.is_field:
             raise UnsupportedRing("truncated polynomial rings need a field base")
         if order < 1:
-            raise ValueError("truncation order must be >= 1")
+            raise UnsupportedRing("truncation order must be >= 1")
         self.base = base
         self.gen = gen
         self.order = order
@@ -348,7 +381,8 @@ class TruncatedPolynomialRing(Ring):
         self.is_field = order == 1
         self.zero = (base.zero,) * order
         self.one = (base.one,) + (base.zero,) * (order - 1)
-        self._int_base = isinstance(base, PrimeField)
+        # coefficients reduce mod the base characteristic; over Q (0) they stay Fractions
+        self._modulus = base.characteristic
 
     def generator(self):
         if self.order < 2:
@@ -379,8 +413,8 @@ class TruncatedPolynomialRing(Ring):
         return self._normalize(acc)
 
     def _normalize(self, acc):
-        if self._int_base:
-            p = self.base.p
+        p = self._modulus
+        if p:
             return tuple(a % p for a in acc)
         return tuple(Fraction(a) for a in acc)
 
@@ -504,115 +538,6 @@ class TruncatedPolynomialRing(Ring):
         return hash(("T", self.base, self.gen, self.order))
 
 
-class IntegersModPrimePower(Ring):
-    """Z/p^m, a quotient of a discrete valuation ring; no section for m > 1.
-
-    Symbols are fully supported here; the differential-form layer rejects
-    this ring because its residue map has no ring-homomorphism section.
-    """
-
-    is_field = False
-
-    def __init__(self, p: int, m: int):
-        PrimeField(p)  # primality check
-        if m < 1:
-            raise ValueError("exponent must be >= 1")
-        self.p = p
-        self.m = m
-        self.pm = p**m
-        self.characteristic = self.pm
-        self.nilpotency_index = m
-        self.is_field = m == 1
-        self.has_section = m == 1
-        self.zero = 0
-        self.one = 1 % self.pm
-
-    def add(self, x, y):
-        return (x + y) % self.pm
-
-    def sub(self, x, y):
-        return (x - y) % self.pm
-
-    def neg(self, x):
-        return -x % self.pm
-
-    def mul(self, x, y):
-        return x * y % self.pm
-
-    def inv(self, x):
-        if x % self.p == 0:
-            raise NonUnit(f"{x} is not invertible in {self}")
-        return pow(x, -1, self.pm)
-
-    def pow(self, x, n):
-        if n < 0:
-            return pow(self.inv(x), -n, self.pm)
-        return pow(x, n, self.pm)
-
-    def dot(self, xs, ys):
-        return sum(map(operator.mul, xs, ys)) % self.pm
-
-    def encode(self, xs):
-        return list(xs), 1
-
-    def decode(self, slots, den):
-        pm = self.pm
-        return [v % pm for v in slots]
-
-    def is_zero(self, x):
-        return x == 0
-
-    def is_unit(self, x):
-        return x % self.p != 0
-
-    def is_nilpotent(self, x):
-        return x % self.p == 0
-
-    @property
-    def residue_field(self):
-        return PrimeField(self.p)
-
-    def residue(self, x):
-        return x % self.p
-
-    def lift(self, c):
-        return c % self.pm
-
-    def from_int(self, n):
-        return n % self.pm
-
-    def random_element(self, rng):
-        return rng.randrange(self.pm)
-
-    def random_unit(self, rng):
-        x = rng.randrange(self.pm)
-        while x % self.p == 0:
-            x = rng.randrange(self.pm)
-        return x
-
-    def random_nilpotent(self, rng):
-        return self.p * rng.randrange(self.pm // self.p) % self.pm
-
-    def iter_elements(self):
-        return iter(range(self.pm))
-
-    def format_element(self, x):
-        return str(x)
-
-    def __str__(self):
-        return f"Z/{self.pm}"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntegersModPrimePower)
-            and other.p == self.p
-            and other.m == self.m
-        )
-
-    def __hash__(self):
-        return hash(("Z", self.p, self.m))
-
-
 QQ = RationalField()
 
 
@@ -683,7 +608,7 @@ def epsilon_map(source: Ring, target: Ring, image) -> RingMap:
 
 
 def truncation_map(source: Ring, new_exponent: int) -> RingMap:
-    """Z/p^m -> Z/p^m' for m' <= m."""
+    """Z/p^m -> Z/p^m' for 1 <= m' <= m; at m' = 1 the target is F_p."""
     if not isinstance(source, IntegersModPrimePower):
         raise NotAHomomorphism(f"{source} is not of the form Z/p^m")
     if not 1 <= new_exponent <= source.m:

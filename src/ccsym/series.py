@@ -274,7 +274,8 @@ class LaurentSeries:
         if not ring.is_unit(sigma.coeff(1)):
             raise NotAUniformizer("linear coefficient is not a unit")
         out_prec = self.prec if prec is None else min(self.prec, prec)
-        if not self.coeffs:
+        if not self.coeffs or out_prec <= self.ell:
+            # sigma has order one, so f(sigma) has order >= ell(f)
             return LaurentSeries.zero(ring, out_prec)
         acc = LaurentSeries.zero(ring)
         top = self.end() - 1

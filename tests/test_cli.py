@@ -72,6 +72,14 @@ def test_decompose_deep_split():
     assert code == 0 and "coordinate precision: 6" in out
 
 
+def test_kato_over_zmod_p_matches_prime_field():
+    outs = [
+        run(["symbol", "kato", "--ring", ring, "--xprec", "3", "--f", "x * (z)", "--g", "(z^2)"])
+        for ring in ("F5", "Z/5", "Z/5^1", "F5[x]/(x^3)")
+    ]
+    assert outs == [(0, "x^2\n")] * 4
+
+
 def test_kato_level_must_be_positive():
     for level in ("0", "-2"):
         code, out = run(

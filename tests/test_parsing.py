@@ -24,6 +24,8 @@ from ccsym.series import INF
         ("Q[e]/(e^3)", "Q[e]/(e^3)"),
         ("Z/25", "Z/25"),
         ("Z/5^2", "Z/25"),
+        ("Z/5", "F5"),
+        ("Z/5^1", "F5"),
         ("F7[x]/(x^4)", "F7[x]/(x^4)"),
         (" F3 [e] / (e^2) ", "F3[e]/(e^2)"),
     ],
@@ -32,10 +34,20 @@ def test_parse_ring(spec, shown):
     assert str(parse_ring(spec)) == shown
 
 
-@pytest.mark.parametrize("bad", ["F4", "Z/12", "F3[e]/(f^2)", "R", "Q[e]"])
+@pytest.mark.parametrize(
+    "bad", ["F4", "Z/12", "F3[e]/(f^2)", "R", "Q[e]", "F1", "Z/5^0", "F3[e]/(e^0)"]
+)
 def test_parse_ring_rejects(bad):
     with pytest.raises(ParseError):
         parse_ring(bad)
+
+
+def test_zmod_p_and_prime_field_are_one_ring():
+    zp, fp = parse_ring("Z/5"), parse_ring("F5")
+    assert zp == fp and hash(zp) == hash(fp)
+    # series over either spelling mix freely
+    prod = parse_series(zp, "1 + t") * parse_series(fp, "2 - t")
+    assert prod == parse_series(fp, "2 + t - t^2")
 
 
 def test_parse_element():

@@ -161,6 +161,22 @@ def test_substitute_pole_keeps_requested_window():
         assert out.prec == prec and out == exact.truncate(prec)
 
 
+def test_substitute_at_or_below_the_pole_order():
+    # f(sigma) has order >= ell(f), so a window ending there is known to be zero
+    sigma = parse_series(F7, "t + t^2")
+    assert parse_series(F7, "t^-1 + 1").substitute(sigma, prec=-1) == LaurentSeries.zero(F7, -1)
+    rng = random.Random(11)
+    for _ in range(20):
+        depth = rng.randint(1, 4)
+        terms = {i: rng.randrange(7) for i in range(1 - depth, 3)}
+        terms[-depth] = rng.randrange(1, 7)
+        f = s(F7, terms)
+        sigma = s(F7, {1: rng.randrange(1, 7), 2: rng.randrange(7), 3: rng.randrange(7)})
+        full = f.substitute(sigma)
+        for prec in range(f.ell - 2, 6):
+            assert f.substitute(sigma, prec=prec) == full.truncate(prec), (f, sigma, prec)
+
+
 def test_substitute_multiplicative_and_winding():
     rng = random.Random(2)
     for _ in range(20):
