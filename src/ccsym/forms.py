@@ -16,7 +16,7 @@ the one any of the residue identities are about.
 from __future__ import annotations
 
 from .errors import IdentityViolated, MixedRings, UnsupportedRing
-from .rings import Ring, RingMap, TruncatedPolynomialRing
+from .rings import Ring, RingMap
 from .series import DEFAULT_PRECISION, INF, LaurentSeries, _split_unit
 from .symbols import MHatElement, contou_carrere, kato_residue
 
@@ -29,11 +29,17 @@ def _require_section(ring: Ring) -> None:
 
 
 def _has_annihilator(ring: Ring) -> bool:
-    """Whether e^(m-1)*de = 0 holds (the relation m*e^(m-1)*de = 0 with m a unit)."""
-    if not isinstance(ring, TruncatedPolynomialRing) or ring.is_field:
+    """Whether e^(m-1)*de = 0 holds (the relation m*e^(m-1)*de = 0 with m a unit);
+    a ring with a section that is not a field is k[e]/(e^m), m >= 2."""
+    if ring.is_field:
         return False
     char = ring.characteristic
-    return char == 0 or ring.order % char != 0
+    return char == 0 or ring.nilpotency_index % char != 0
+
+
+def _d_e(ring: Ring, x):
+    """dx/de; zero over a field, whose Omega^1 over itself vanishes."""
+    return ring.zero if ring.is_field else ring.d_epsilon(x)
 
 
 def reduce_de_coefficient(ring: Ring, c):
@@ -186,21 +192,38 @@ def d_series(f: LaurentSeries) -> OneForm:
     """Exterior derivative df = f'*dt + (df/de)*de."""
     ring = f.ring
     _require_section(ring)
-    if isinstance(ring, TruncatedPolynomialRing) and not ring.is_field:
-        de = LaurentSeries(ring, f.ell, (ring.d_epsilon(c) for c in f.coeffs), f.prec)
-    else:
-        de = LaurentSeries.zero(ring)
+    de = LaurentSeries(ring, f.ell, (_d_e(ring, c) for c in f.coeffs), f.prec)
     return OneForm(f.derivative(), de)
 
 
+def _split_dlog(f: LaurentSeries, cap=None) -> OneForm:
+    """dlog f = w*dt/t + dlog c + h^-1*(h' dt + h_e de) - dlog G from the
+    split f = c*t^w*h/G; G = prod (1 - a*t^-d)^-1 over the peeled factors
+    (d, a), so dlog G = sum_k (-d*a^k t^(-dk-1) dt + a_e*a^(k-1) t^(-dk) de)
+    exactly.  Only h is inverted, cut at t^cap (_UnitSplit.h_inverse)."""
+    ring = f.ring
+    _require_section(ring)
+    split = _split_unit(f)
+    dt = {-1: ring.from_int(split.w)}
+    de = {0: ring.mul(ring.inv(split.c), _d_e(ring, split.c))}
+    for d, a in split.raw:
+        a_e, power, k = _d_e(ring, a), ring.one, 1
+        while not ring.is_zero(power):
+            nxt = ring.mul(power, a)
+            dt[-d * k - 1] = ring.add(dt.get(-d * k - 1, ring.zero), ring.mul(ring.from_int(d), nxt))
+            de[-d * k] = ring.sub(de.get(-d * k, ring.zero), ring.mul(a_e, power))
+            power, k = nxt, k + 1
+    inv_h, dh = split.h_inverse(cap), d_series(split.h)
+    return OneForm(
+        LaurentSeries.from_terms(ring, dt) + inv_h * dh.dt,
+        LaurentSeries.from_terms(ring, de) + inv_h * dh.de,
+    )
+
+
 def dlog(f: LaurentSeries) -> OneForm:
-    """Logarithmic differential f^-1 df of a unit series."""
-    return _dlog(f, f.inverse())
-
-
-def _dlog(f: LaurentSeries, finv: LaurentSeries) -> OneForm:
-    form = d_series(f)
-    return OneForm(finv * form.dt, finv * form.de)
+    """Logarithmic differential f^-1 df of a unit series, read off its split
+    (see dlog2); an exact h is inverted below DEFAULT_PRECISION."""
+    return _split_dlog(f)
 
 
 def dlog_element(ring: Ring, a) -> AOneForm:
@@ -220,18 +243,24 @@ def wedge(alpha: OneForm, beta: OneForm) -> TwoForm:
 def dlog2(f: LaurentSeries, g: LaurentSeries) -> TwoForm:
     """dlog(f) ^ dlog(g) for unit series f, g.
 
-    An exact argument's inverse is expanded at least as far as the default
-    window and far enough to know the t^-1 coefficient: by its split
-    f = c*t^w*h/G, f^-1 starts no lower than L_f = ell(G) - w and is known
-    below cap + L_f, so the two-form is known below
-    ell(f) + ell(g) - 1 + cap + L_f + L_g, which this cap makes >= 0.
+    Each argument is read off its split f = c*t^w*h/G:
+
+        dlog f = w*dt/t + dlog c + h^-1*(h' dt + h_e de) - dlog G,
+
+    with dlog G exact from the peeled factors (_split_dlog).  Only the
+    power series h is inverted, so dlog f loses h's precision alone: it is
+    known below h.prec - 1 = f.prec - w + ell(G) - 1.  An exact argument's
+    h^-1 is cut at max(DEFAULT_PRECISION, 1 - ell(f) - ell(g) - L_f - L_g),
+    L_f = ell(G) - w: dlog f starts no lower than L_f + ell(f) - 1, so the
+    wedge is known below -ell(g) - L_g >= 0, past its t^-1 coefficient.
     """
     sf, sg = _split_unit(f), _split_unit(g)
     low = sf.geom.ell - sf.w + sg.geom.ell - sg.w
     cap = max(DEFAULT_PRECISION, 1 - f.ell - g.ell - low)
-    finv = sf.inverse(cap if f.prec == INF else None)
-    ginv = sg.inverse(cap if g.prec == INF else None)
-    return wedge(_dlog(f, finv), _dlog(g, ginv))
+    return wedge(
+        _split_dlog(f, cap if f.prec == INF else None),
+        _split_dlog(g, cap if g.prec == INF else None),
+    )
 
 
 def res1(alpha: OneForm):
@@ -280,11 +309,7 @@ def map_form(h: RingMap, form):
     _require_section(target)
     if h.kind == "epsilon":
         img = h.gen_image
-        chain = (
-            target.d_epsilon(img)
-            if isinstance(target, TruncatedPolynomialRing) and not target.is_field
-            else target.zero
-        )
+        chain = _d_e(target, img)
     elif h.kind == "residue":
         chain = target.zero
     else:

@@ -19,6 +19,7 @@ from .rings import (
     RationalField,
     Ring,
     TruncatedPolynomialRing,
+    prime_power,
 )
 from .series import INF, LaurentSeries
 
@@ -38,28 +39,8 @@ _RING_PATTERNS = [
         re.compile(r"^Z/(\d+)\^(\d+)$"),
         lambda m: IntegersModPrimePower(int(m.group(1)), int(m.group(2))),
     ),
-    (re.compile(r"^Z/(\d+)$"), lambda m: _zmod_from_value(int(m.group(1)))),
+    (re.compile(r"^Z/(\d+)$"), lambda m: IntegersModPrimePower(*prime_power(int(m.group(1))))),
 ]
-
-
-def _zmod_from_value(n: int) -> IntegersModPrimePower:
-    if n < 2:
-        raise ParseError(f"Z/{n} is not a prime power ring")
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 1
-    else:
-        p = n
-    m = 0
-    v = n
-    while v % p == 0:
-        v //= p
-        m += 1
-    if v != 1:
-        raise ParseError(f"{n} is not a prime power")
-    return IntegersModPrimePower(p, m)
 
 
 def parse_ring(text: str) -> Ring:

@@ -143,6 +143,21 @@ class Ring:
         return self.__str__()
 
 
+def _least_factor(n: int) -> int:
+    """The least prime factor of n >= 2 (n itself when n is prime)."""
+    return next((q for q in range(2, isqrt(n) + 1) if n % q == 0), n)
+
+
+def prime_power(n: int) -> tuple[int, int]:
+    """(p, m) with n = p^m, p prime and m >= 1; UnsupportedRing otherwise."""
+    p, m, rest = _least_factor(max(n, 2)), 0, n
+    while rest > 1 and rest % p == 0:
+        rest, m = rest // p, m + 1
+    if rest != 1 or m == 0:
+        raise UnsupportedRing(f"{n} is not a prime power")
+    return p, m
+
+
 class IntegersModPrimePower(Ring):
     """Z/p^m with elements stored as reduced ints in [0, p^m).
 
@@ -153,7 +168,7 @@ class IntegersModPrimePower(Ring):
     """
 
     def __init__(self, p: int, m: int):
-        if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        if p < 2 or _least_factor(p) != p:
             raise UnsupportedRing(f"{p} is not prime")
         if m < 1:
             raise UnsupportedRing("exponent must be >= 1")

@@ -127,18 +127,14 @@ class LaurentSeries:
             return LaurentSeries(other.ring, other.ell, other.coeffs, prec)
         if not other.coeffs:
             return LaurentSeries(self.ring, self.ell, self.coeffs, prec)
+        # copy the longer window, then add the shorter one into it
+        a, b = (self, other) if len(self.coeffs) >= len(other.coeffs) else (other, self)
         ring = self.ring
-        lo = min(self.ell, other.ell)
-        hi = max(self.end(), other.end())
-        out = []
-        for i in range(lo, hi):
-            a = self.coeffs[i - self.ell] if self.ell <= i < self.end() else ring.zero
-            b = (
-                other.coeffs[i - other.ell]
-                if other.ell <= i < other.end()
-                else ring.zero
-            )
-            out.append(ring.add(a, b))
+        lo = min(a.ell, b.ell)
+        out = [ring.zero] * (max(a.end(), b.end()) - lo)
+        out[a.ell - lo : a.end() - lo] = a.coeffs
+        for i, c in enumerate(b.coeffs, b.ell - lo):
+            out[i] = ring.add(out[i], c)
         return LaurentSeries(ring, lo, out, prec)
 
     def __neg__(self) -> LaurentSeries:
@@ -394,17 +390,18 @@ class _UnitSplit(NamedTuple):
     geom: LaurentSeries
     h: LaurentSeries
 
-    def inverse(self, cap=None) -> LaurentSeries:
-        """f^-1 = c^-1 * t^-w * h^-1 * G, known below (h^-1 window) + ell(G) - w;
-        h^-1 is exact for constant h, else cut at t^cap (or DEFAULT_PRECISION)."""
+    def h_inverse(self, cap=None) -> LaurentSeries:
+        """h^-1, exact for constant h, else cut at t^cap (or DEFAULT_PRECISION)."""
         h = self.h
-        ring = h.ring
         if h.prec == INF and len(h.coeffs) <= 1:
-            inv_h = LaurentSeries.constant(ring, ring.inv(h.coeff(0)))
-        else:
-            prec = h.prec if cap is None else min(h.prec, cap)
-            inv_h = _unit_power_series_inverse(h, DEFAULT_PRECISION if prec == INF else int(prec))
-        return (inv_h * self.geom).shift(-self.w).scalar_mul(ring.inv(self.c))
+            return LaurentSeries.constant(h.ring, h.ring.inv(h.coeff(0)))
+        prec = h.prec if cap is None else min(h.prec, cap)
+        return _unit_power_series_inverse(h, DEFAULT_PRECISION if prec == INF else int(prec))
+
+    def inverse(self, cap=None) -> LaurentSeries:
+        """f^-1 = c^-1 * t^-w * h^-1 * G, known below (h^-1 window) + ell(G) - w."""
+        inv_h = self.h_inverse(cap)
+        return (inv_h * self.geom).shift(-self.w).scalar_mul(inv_h.ring.inv(self.c))
 
 
 def _split_unit(f: LaurentSeries) -> _UnitSplit:

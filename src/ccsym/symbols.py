@@ -11,7 +11,9 @@ in t, the negative ones off the exact product of the peeled factors in
 t^-1.  The Contou-Carrere symbol splits each argument once and is a
 finite product of coordinates: nilpotency truncates the pairing terms,
 and the negative coordinates fix the windows (required_precision)
-instead of ever truncating an answer.  Over a field the symbol
+instead of ever truncating an answer: the term of a_i against b_{-j} is
+1 once i/gcd(i, j) >= n_j (the least n with b_{-j}^n = 0), hence for
+every i >= (n_j - 1)*j + 1, as i/gcd(i, j) >= i/j.  Over a field the symbol
 degenerates to the tame symbol at t = 0.  Kato's residue symbol for the
 two-variable field k((x))((z)) is computed levelwise over k[x]/(x^m)
 from the x^e * unit normal form.
@@ -170,23 +172,29 @@ def recompose(d: UnitDecomposition, prec=None) -> LaurentSeries:
     return out.shift(d.w)
 
 
-def _windows(ring: Ring, neg_f: dict, neg_g: dict) -> tuple[int, int]:
-    e = ring.nilpotency_index
-    return max(1, e * max(neg_g, default=0)), max(1, e * max(neg_f, default=0))
+def _window(ring: Ring, neg: dict) -> int:
+    """max over j of (n_j - 1)*j + 1, n_j the least n with b_{-j}^n = 0 (1 if no b)."""
+    window = 1
+    for j, b in neg.items():
+        n, power = 1, b
+        while not ring.is_zero(power):
+            n, power = n + 1, ring.mul(power, b)
+        window = max(window, (n - 1) * j + 1)
+    return window
 
 
 def required_precision(f: LaurentSeries, g: LaurentSeries) -> tuple[int, int]:
     """Coordinate windows (for f, for g) that pin the symbol exactly.
 
-    Positive coordinates of one argument only matter against negative
-    coordinates of the other: the term at (i, j) dies once the nilpotent
-    power b_{-j}^{i/(i,j)} hits zero, which is guaranteed for
-    i >= e*jmax, e the nilpotency index.  The windows also cover the
-    leading-unit contributions a0^w(g) and b0^w(f).
+    Positive coordinates a_i of one argument only meet the other's
+    negative coordinates b_{-j} in the term 1 - a_i^(j/d) * b_{-j}^(i/d),
+    d = gcd(i, j), which is 1 once i/d >= n_j (the least n with
+    b_{-j}^n = 0), so for i >= (n_j - 1)*j + 1, as i/d >= i/j.  Each window
+    is that bound maximised over j, and at least 1 for a0^w(g), b0^w(f).
     """
     if f.ring != g.ring:
         raise MixedRings(f"cannot pair series over {f.ring} and {g.ring}")
-    return _windows(f.ring, _split(f)[1], _split(g)[1])
+    return _window(f.ring, _split(g)[1]), _window(f.ring, _split(f)[1])
 
 
 def contou_carrere(f: LaurentSeries, g: LaurentSeries):
@@ -201,7 +209,7 @@ def contou_carrere(f: LaurentSeries, g: LaurentSeries):
     if f.ring != g.ring:
         raise MixedRings(f"cannot pair series over {f.ring} and {g.ring}")
     (sf, neg_f), (sg, neg_g) = _split(f), _split(g)
-    req_f, req_g = _windows(f.ring, neg_f, neg_g)
+    req_f, req_g = _window(f.ring, neg_g), _window(f.ring, neg_f)
     df, dg = _coordinates(sf, neg_f, req_f), _coordinates(sg, neg_g, req_g)
     if df.prec < req_f or dg.prec < req_g:
         raise InsufficientPrecision(

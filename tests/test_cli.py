@@ -138,6 +138,8 @@ def test_suite_report_file(tmp_path):
 def test_parse_error_exit_code():
     code, _ = run(["symbol", "cc", "--ring", "F3[e]/(e^2)", "--f", "1 + q", "--g", "t"])
     assert code == 2
+    for ring in ("Z/1", "Z/6", "Z/12"):
+        assert run(["symbol", "cc", "--ring", ring, "--f", "1", "--g", "t"]) == (2, "")
 
 
 def test_constant_reciprocity():

@@ -26,6 +26,7 @@ from ccsym.series import INF
         ("Z/5^2", "Z/25"),
         ("Z/5", "F5"),
         ("Z/5^1", "F5"),
+        ("Z/49", "Z/49"),
         ("F7[x]/(x^4)", "F7[x]/(x^4)"),
         (" F3 [e] / (e^2) ", "F3[e]/(e^2)"),
     ],
@@ -35,7 +36,8 @@ def test_parse_ring(spec, shown):
 
 
 @pytest.mark.parametrize(
-    "bad", ["F4", "Z/12", "F3[e]/(f^2)", "R", "Q[e]", "F1", "Z/5^0", "F3[e]/(e^0)"]
+    "bad",
+    ["F4", "Z/1", "Z/6", "Z/12", "F3[e]/(f^2)", "R", "Q[e]", "F1", "Z/5^0", "F3[e]/(e^0)"],
 )
 def test_parse_ring_rejects(bad):
     with pytest.raises(ParseError):

@@ -34,6 +34,21 @@ def test_mul_examples():
     assert s(F5, {-1: 1}, 3) + s(F5, {1: 1}, 3) == s(F5, {-1: 1, 1: 1}, 3)
 
 
+@pytest.mark.parametrize("ring", [F7, A2, parse_ring("Q[e]/(e^3)")], ids=str)
+def test_sum_matches_coefficientwise_reference(ring):
+    rng = random.Random(f"sum:{ring}")
+    for _ in range(200):
+        a, b = (
+            s(ring, {i: ring.random_element(rng) for i in range(lo, lo + rng.randint(0, 6))},
+              rng.choice([INF, rng.randint(-4, 10)]))
+            for lo in (rng.randint(-5, 5), rng.randint(-5, 5))
+        )
+        total = a + b
+        assert total.prec == min(a.prec, b.prec)
+        for i in range(-6, min(total.prec, 12)):
+            assert total.coeff(i) == ring.add(a.coeff(i), b.coeff(i))
+
+
 def test_precision_propagation():
     a = s(F5, {0: 1}, 5)
     b = s(F5, {-2: 1}, 4)
