@@ -105,7 +105,7 @@ def _kato_ring(args):
     ring = parse_ring(args.ring)
     if ring.is_field and ring.residue_field == ring:  # a base field, not k[x]/(x^1)
         ring = TruncatedPolynomialRing(ring, "x", args.xprec)
-    if not isinstance(ring, TruncatedPolynomialRing) or ring.gen != "x":
+    if not ring.x_level:
         raise CCSymError(f"{ring} is not a level ring k[x]/(x^m) or base field")
     return ring
 

@@ -207,12 +207,11 @@ def _split_dlog(f: LaurentSeries, cap=None) -> OneForm:
     dt = {-1: ring.from_int(split.w)}
     de = {0: ring.mul(ring.inv(split.c), _d_e(ring, split.c))}
     for d, a in split.raw:
-        a_e, power, k = _d_e(ring, a), ring.one, 1
-        while not ring.is_zero(power):
-            nxt = ring.mul(power, a)
-            dt[-d * k - 1] = ring.add(dt.get(-d * k - 1, ring.zero), ring.mul(ring.from_int(d), nxt))
-            de[-d * k] = ring.sub(de.get(-d * k, ring.zero), ring.mul(a_e, power))
-            power, k = nxt, k + 1
+        a_e = _d_e(ring, a)
+        for k, power in enumerate(ring.nilpotent_powers(a)):
+            if k:
+                dt[-d * k - 1] = ring.add(dt.get(-d * k - 1, ring.zero), ring.mul(ring.from_int(d), power))
+            de[-d * k - d] = ring.sub(de.get(-d * k - d, ring.zero), ring.mul(a_e, power))
     inv_h, dh = split.h_inverse(cap), d_series(split.h)
     return OneForm(
         LaurentSeries.from_terms(ring, dt) + inv_h * dh.dt,
@@ -302,18 +301,15 @@ def form_substitute(sigma: LaurentSeries, form, prec=None):
 def map_form(h: RingMap, form):
     """Base change of forms along a coefficient homomorphism.
 
-    The de-components pick up the chain factor d(h(e))/de'; for the
-    residue map onto the coefficient field the factor is zero.
+    The de-components pick up the chain factor d(h(e))/de', read off the
+    generator image h.gen_image: zero for the residue map onto the
+    coefficient field; a map with no image (a truncation) is refused.
     """
     target = h.target
     _require_section(target)
-    if h.kind == "epsilon":
-        img = h.gen_image
-        chain = _d_e(target, img)
-    elif h.kind == "residue":
-        chain = target.zero
-    else:
+    if h.gen_image is None:
         raise UnsupportedRing(f"forms cannot be based-changed along {h!r}")
+    chain = _d_e(target, h.gen_image)
     if isinstance(form, AOneForm):
         return AOneForm(target, target.mul(h(form.coeff), chain))
     if isinstance(form, OneForm):

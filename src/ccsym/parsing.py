@@ -196,22 +196,20 @@ class _ExpressionParser:
         return LaurentSeries.zero(self.ring, prec=n)
 
 
-def _series_variables(ring: Ring, var: str) -> dict:
-    variables = {var: LaurentSeries.t_power(ring, 1)}
-    if isinstance(ring, TruncatedPolynomialRing) and not ring.is_field:
-        variables[ring.gen] = LaurentSeries.constant(ring, ring.generator())
-    return variables
+def _generator_variables(ring: Ring) -> dict:
+    """The nilpotent generator by name, for k[e]/(e^m) with m >= 2 only."""
+    if ring.is_field or not ring.has_section:
+        return {}
+    return {ring.gen: LaurentSeries.constant(ring, ring.generator())}
 
 
 def parse_series(ring: Ring, text: str, var: str = "t") -> LaurentSeries:
-    return _ExpressionParser(text, ring, _series_variables(ring, var)).parse()
+    variables = {var: LaurentSeries.t_power(ring, 1), **_generator_variables(ring)}
+    return _ExpressionParser(text, ring, variables).parse()
 
 
 def parse_element(ring: Ring, text: str):
-    variables = {}
-    if isinstance(ring, TruncatedPolynomialRing) and not ring.is_field:
-        variables[ring.gen] = LaurentSeries.constant(ring, ring.generator())
-    value = _ExpressionParser(text, ring, variables).parse()
+    value = _ExpressionParser(text, ring, _generator_variables(ring)).parse()
     if value.is_zero_series and value.prec == INF:
         return ring.zero
     if value.ell != 0 or len(value.coeffs) != 1 or value.prec != INF:
@@ -310,7 +308,7 @@ def parse_rational_function(ring: Ring, text: str):
 _MHAT = re.compile(r"^\s*x(?:\^(-?\d+))?\s*\*\s*\((.*)\)\s*$", re.S)
 
 
-def parse_mhat(ring: TruncatedPolynomialRing, text: str):
+def parse_mhat(ring: Ring, text: str):
     """x^e * (series in z); a bare series means exponent zero."""
     from .symbols import MHatElement
 

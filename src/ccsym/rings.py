@@ -15,7 +15,7 @@ import operator
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .errors import MixedRings, NonUnit, NotAHomomorphism, UnsupportedRing
+from .errors import InvariantViolation, NonUnit, NotAHomomorphism, UnsupportedRing
 
 
 class Ring:
@@ -23,15 +23,18 @@ class Ring:
 
     Concrete rings expose ``zero``/``one``, the arithmetic methods, the
     residue/lift pair, and metadata: ``characteristic``, the nilpotency
-    index (least e with m^e = 0, 1 for fields), and ``has_section``
-    (True when the residue map admits a ring-homomorphism section, which
-    the differential-form layer requires).
+    index (least e with m^e = 0, 1 for fields), ``has_section`` (True
+    when the residue map admits a ring-homomorphism section, which the
+    differential-form layer requires), ``x_level`` (True for the levels
+    k[x]/(x^m) of Kato's two-variable field), the nilpotent ``generator()``
+    and the powers of a nilpotent (``nilpotent_powers``).
     """
 
     characteristic: int
     nilpotency_index: int
     has_section: bool
     is_field: bool
+    x_level = False
     #: name of the nilpotent generator in printed forms (de, de^dt); rings
     #: without one print the generic "e"
     gen = "e"
@@ -110,6 +113,19 @@ class Ring:
     def lift(self, c):
         """Pick the canonical preimage of a residue-field element."""
         raise NotImplementedError
+
+    def generator(self):
+        raise UnsupportedRing(f"{self} has no nilpotent generator")
+
+    def nilpotent_powers(self, a) -> list:
+        """[1, a, ..., a^(n-1)] for nilpotent a, n the least with a^n = 0."""
+        powers, power = [self.one], a
+        while not self.is_zero(power):
+            if len(powers) == self.nilpotency_index:
+                raise InvariantViolation(f"{self.format_element(a)} is not nilpotent in {self}")
+            powers.append(power)
+            power = self.mul(power, a)
+        return powers
 
     def d_epsilon(self, x):
         raise UnsupportedRing(f"{self} has no nilpotent generator to differentiate by")
@@ -389,6 +405,7 @@ class TruncatedPolynomialRing(Ring):
             raise UnsupportedRing("truncation order must be >= 1")
         self.base = base
         self.gen = gen
+        self.x_level = gen == "x"
         self.order = order
         self.characteristic = base.characteristic
         self.nilpotency_index = order
@@ -553,27 +570,23 @@ class TruncatedPolynomialRing(Ring):
         return hash(("T", self.base, self.gen, self.order))
 
 
-QQ = RationalField()
-
-
 class RingMap:
     """A supported coefficient homomorphism h: A -> B.
 
-    The three descriptor kinds: the residue map A -> k, a local map
-    between truncated rings sending the generator to a nilpotent image,
-    and the truncation Z/p^m -> Z/p^m' for m' <= m.  Constructors
-    validate locality and well-definedness and raise NotAHomomorphism
-    otherwise.
+    Three constructors: the residue map A -> k, a local map between
+    truncated rings sending the generator to a nilpotent image, and the
+    truncation Z/p^m -> Z/p^m' for m' <= m.  They validate locality and
+    well-definedness and raise NotAHomomorphism otherwise.  ``gen_image``
+    is the image of the source generator: zero for the residue map, None
+    for the truncation, which sends no generator anywhere.
     """
 
-    def __init__(self, source: Ring, target: Ring, apply, label: str,
-                 kind: str = "", gen_image=None):
+    def __init__(self, source: Ring, target: Ring, apply, label: str, gen_image=None):
         self.source = source
         self.target = target
         self._apply = apply
         self.label = label
-        self.kind = kind
-        self.gen_image = gen_image  # image of the source generator, if any
+        self.gen_image = gen_image
 
     def __call__(self, x):
         return self._apply(x)
@@ -584,7 +597,7 @@ class RingMap:
 
 def residue_map(ring: Ring) -> RingMap:
     k = ring.residue_field
-    return RingMap(ring, k, ring.residue, "residue", kind="residue")
+    return RingMap(ring, k, ring.residue, "residue", gen_image=k.zero)
 
 
 def epsilon_map(source: Ring, target: Ring, image) -> RingMap:
@@ -617,7 +630,6 @@ def epsilon_map(source: Ring, target: Ring, image) -> RingMap:
         target,
         apply,
         f"{source.gen}->{target.format_element(image)}",
-        kind="epsilon",
         gen_image=image,
     )
 
@@ -629,6 +641,4 @@ def truncation_map(source: Ring, new_exponent: int) -> RingMap:
     if not 1 <= new_exponent <= source.m:
         raise NotAHomomorphism("target exponent must satisfy 1 <= m' <= m")
     target = IntegersModPrimePower(source.p, new_exponent)
-    return RingMap(
-        source, target, lambda x: x % target.pm, f"mod {target.pm}", kind="truncation"
-    )
+    return RingMap(source, target, lambda x: x % target.pm, f"mod {target.pm}")

@@ -368,16 +368,9 @@ class LaurentSeries:
 
 def _geometric_inverse(ring: Ring, d: int, a) -> LaurentSeries:
     """(1 - a*t^d)^(-1) = sum a^k t^(dk) for nilpotent a; exact and finite."""
-    terms = {0: ring.one}
-    power = a
-    k = 1
-    while not ring.is_zero(power):
-        terms[d * k] = power
-        power = ring.mul(power, a)
-        k += 1
-        if k > ring.nilpotency_index:
-            raise InvariantViolation("geometric tail of a non-nilpotent coefficient")
-    return LaurentSeries.from_terms(ring, terms)
+    return LaurentSeries.from_terms(
+        ring, {d * k: power for k, power in enumerate(ring.nilpotent_powers(a))}
+    )
 
 
 class _UnitSplit(NamedTuple):

@@ -124,10 +124,6 @@ def _record(index, inputs, expected, actual) -> CaseRecord:
     return CaseRecord(index, inputs, expected, actual, expected == actual)
 
 
-def _is_x_level(ring: Ring) -> bool:
-    return isinstance(ring, TruncatedPolynomialRing) and ring.gen == "x"
-
-
 def _level_drop(ring: TruncatedPolynomialRing, lower: int):
     """The truncation k[x]/(x^m) -> k[x]/(x^lower), x -> x."""
     target = TruncatedPolynomialRing(ring.base, "x", lower)
@@ -189,7 +185,7 @@ def suite_lemma34(config: SuiteConfig, rng) -> list[CaseRecord]:
             "ring": str(ring), "clause": clause, "n": n, "m": m,
             "a": ring.format_element(a), "b": ring.format_element(b),
         }
-        if _is_x_level(ring):
+        if ring.x_level:
             kv = kato_residue(MHatElement(ring, 0, f), MHatElement(ring, 0, g))
             inputs["route"] = "kato"
             out.append(_record(idx, inputs, f"(0, {ring.format_element(want)})",
@@ -320,7 +316,7 @@ def suite_dlog_square(config: SuiteConfig, rng) -> list[CaseRecord]:
     out = []
     for idx in range(config.cases):
         ring = rings[idx % len(rings)]
-        case = _square_case_level if _is_x_level(ring) else _square_case_artinian
+        case = _square_case_level if ring.x_level else _square_case_artinian
         out.append(case(ring, rng, idx))
     return out + closed_form_square_records(config, rng)
 
@@ -330,20 +326,14 @@ def closed_form_square_records(config: SuiteConfig, rng) -> list[CaseRecord]:
     rings = [
         r
         for r in _rings(config, [f"F{p}[e]/(e^{m})" for p in (2, 3, 5) for m in (2, 3)])
-        if isinstance(r, TruncatedPolynomialRing) and not r.is_field
+        if not r.is_field and r.has_section
     ]
     bound = min(config.exponent_bound, 5)
     out = []
     idx = 0
     for ring in rings:
         M = ring.nilpotency_index
-        exhaustive = None
-        if (
-            isinstance(ring, TruncatedPolynomialRing)
-            and ring.base.characteristic == 2
-            and ring.order <= 3
-        ):
-            exhaustive = list(ring.iter_elements())
+        exhaustive = list(ring.iter_elements()) if ring.characteristic == 2 and M <= 3 else None
         for n in range(1, bound + 1):
             for m in range(1, bound + 1):
                 if exhaustive is not None:
@@ -354,7 +344,7 @@ def closed_form_square_records(config: SuiteConfig, rng) -> list[CaseRecord]:
                         for _ in range(3)
                     ]
                 for a, b in pairs:
-                    anil = ring.mul(a, ring.generator()) if hasattr(ring, "generator") else a
+                    anil = ring.mul(a, ring.generator())
                     bnil = ring.mul(b, ring.generator())
                     for tag, f, g, want in _square_identities(ring, n, m, a, b, anil, bnil, M):
                         lhs = res2(dlog2(f, g))
@@ -467,7 +457,7 @@ def suite_uniformizer_invariance(config: SuiteConfig, rng) -> list[CaseRecord]:
         fd, gd = draw_unit(ring, rng), draw_unit(ring, rng)
         sigma = draw_uniformizer(ring, rng, prec=64)
         kind = ("symbol", "residue", "kato")[idx % 3]
-        if kind == "kato" and not _is_x_level(ring):
+        if kind == "kato" and not ring.x_level:
             kind = "symbol"
 
         def check(prec):

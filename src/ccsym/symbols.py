@@ -29,8 +29,9 @@ from .errors import (
     InvariantViolation,
     MixedFields,
     MixedRings,
+    NonUnit,
 )
-from .rings import Ring, RingMap, TruncatedPolynomialRing
+from .rings import Ring, RingMap
 from .series import DEFAULT_PRECISION, INF, LaurentSeries, _split_unit, _UnitSplit
 
 
@@ -174,13 +175,7 @@ def recompose(d: UnitDecomposition, prec=None) -> LaurentSeries:
 
 def _window(ring: Ring, neg: dict) -> int:
     """max over j of (n_j - 1)*j + 1, n_j the least n with b_{-j}^n = 0 (1 if no b)."""
-    window = 1
-    for j, b in neg.items():
-        n, power = 1, b
-        while not ring.is_zero(power):
-            n, power = n + 1, ring.mul(power, b)
-        window = max(window, (n - 1) * j + 1)
-    return window
+    return max(((len(ring.nilpotent_powers(b)) - 1) * j + 1 for j, b in neg.items()), default=1)
 
 
 def required_precision(f: LaurentSeries, g: LaurentSeries) -> tuple[int, int]:
@@ -218,28 +213,27 @@ def contou_carrere(f: LaurentSeries, g: LaurentSeries):
     return symbol_from_decompositions(df, dg)
 
 
-def symbol_from_decompositions(df: UnitDecomposition, dg: UnitDecomposition):
-    """Evaluate the pairing formula on two coordinate decompositions."""
-    ring = df.ring
-    result = ring.pow(ring.neg(ring.one), (df.w * dg.w) & 1)
-    result = ring.mul(result, ring.pow(df.a0, dg.w))
-    den = ring.pow(dg.a0, df.w)
-    for j, b in dg.neg.items():
-        for i, a in df.pos.items():
+def _pairing_product(ring: Ring, pos: dict, neg: dict):
+    """prod over a_i in pos, b_{-j} in neg of (1 - a_i^(j/d) b_{-j}^(i/d))^d, d = gcd(i, j)."""
+    out = ring.one
+    for j, b in neg.items():
+        for i, a in pos.items():
             d = gcd(i, j)
             bp = ring.pow(b, i // d)
             if ring.is_zero(bp):
                 continue
             term = ring.sub(ring.one, ring.mul(ring.pow(a, j // d), bp))
-            result = ring.mul(result, ring.pow(term, d))
-    for i, a in df.neg.items():
-        for j, b in dg.pos.items():
-            d = gcd(i, j)
-            ap = ring.pow(a, j // d)
-            if ring.is_zero(ap):
-                continue
-            term = ring.sub(ring.one, ring.mul(ap, ring.pow(b, i // d)))
-            den = ring.mul(den, ring.pow(term, d))
+            out = ring.mul(out, ring.pow(term, d))
+    return out
+
+
+def symbol_from_decompositions(df: UnitDecomposition, dg: UnitDecomposition):
+    """Evaluate the pairing formula on two coordinate decompositions."""
+    ring = df.ring
+    result = ring.pow(ring.neg(ring.one), (df.w * dg.w) & 1)
+    result = ring.mul(result, ring.pow(df.a0, dg.w))
+    result = ring.mul(result, _pairing_product(ring, df.pos, dg.neg))
+    den = ring.mul(ring.pow(dg.a0, df.w), _pairing_product(ring, dg.pos, df.neg))
     return ring.mul(result, ring.inv(den))
 
 
@@ -252,14 +246,12 @@ class MHatElement:
 
     __slots__ = ("ring", "exponent", "unit")
 
-    def __init__(self, ring: TruncatedPolynomialRing, exponent: int, unit: LaurentSeries):
-        if not isinstance(ring, TruncatedPolynomialRing) or ring.gen != "x":
+    def __init__(self, ring: Ring, exponent: int, unit: LaurentSeries):
+        if not ring.x_level:
             raise MixedFields(f"{ring} is not a truncated local ring k[x]/(x^m)")
         if unit.ring != ring:
             raise MixedFields(f"unit part lives over {unit.ring}, expected {ring}")
         if not unit.is_unit():
-            from .errors import NonUnit
-
             raise NonUnit("the z-series part must be a unit")
         self.ring = ring
         self.exponent = exponent
@@ -297,7 +289,7 @@ class KatoValue:
 
     __slots__ = ("ring", "exponent", "unit")
 
-    def __init__(self, ring: TruncatedPolynomialRing, exponent: int, unit):
+    def __init__(self, ring: Ring, exponent: int, unit):
         self.ring = ring
         self.exponent = exponent
         self.unit = unit

@@ -28,6 +28,7 @@ from ccsym.rings import (
     TruncatedPolynomialRing,
     epsilon_map,
     residue_map,
+    truncation_map,
 )
 from ccsym.series import INF, LaurentSeries
 from ccsym.symbols import MHatElement, contou_carrere
@@ -226,6 +227,16 @@ def test_base_change_square():
             assert map_form(h, res2(om)) == res2(map_form(h, om))
             al = dlog(f)
             assert h(res1(al)) == res1(map_form(h, al))
+    # the residue map sends the generator to zero, so every de-part dies
+    h = residue_map(A2)
+    f, g = draw_unit(A2, rng).series(24), draw_unit(A2, rng).series(24)
+    om, al = dlog2(f, g), dlog(f)
+    assert map_form(h, om) == TwoForm(LaurentSeries.zero(F3, om.h.prec))
+    assert map_form(h, al) == OneForm(al.dt.map_coefficients(h), LaurentSeries.zero(F3))
+    assert map_form(h, res2(om)) == AOneForm.zero(F3)
+    # a truncation Z/p^m -> F_p sends no generator: forms cannot follow it
+    with pytest.raises(UnsupportedRing):
+        map_form(truncation_map(IntegersModPrimePower(5, 2), 1), AOneForm.zero(F5))
 
 
 def test_levelwise_square_and_compat():

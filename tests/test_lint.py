@@ -71,3 +71,52 @@ def test_no_floating_point(path):
         elif isinstance(node, ast.Call) and _name(node) == "float":
             found.append((node.lineno, "float(...)"))
     assert not found, f"{path.name}: {found}"
+
+
+def _ring_classes():
+    """Ring and every class in rings.py derived from it."""
+    tree = ast.parse((SOURCES[0].parent / "rings.py").read_text())
+    names = {"Ring"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(_name(b) in names for b in node.bases):
+            names.add(node.name)
+    return names
+
+
+def _ring_kind_tests(tree, ring_classes):
+    """(line, text) of each isinstance(_, <ring class>) and hasattr(<ring>, _)."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or len(node.args) != 2:
+            continue
+        subject, probe = node.args
+        if _name(node) == "isinstance":
+            kinds = probe.elts if isinstance(probe, ast.Tuple) else [probe]
+            if any(_name(k) in ring_classes for k in kinds):
+                found.append((node.lineno, ast.unparse(node)))
+        elif _name(node) == "hasattr":
+            subject = subject.attr if isinstance(subject, ast.Attribute) else _name(subject)
+            if (subject or "").lower().endswith("ring"):
+                found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_ring_kind_checks_flag_class_and_attribute_tests():
+    snippet = (
+        "isinstance(r, TruncatedPolynomialRing)\n"
+        "isinstance(r, (int, PrimeField))\n"
+        "hasattr(ring, 'generator')\n"
+        "hasattr(f.ring, 'base')\n"
+        "isinstance(r, tuple)\n"
+        "hasattr(value, 'format')\n"
+    )
+    found = _ring_kind_tests(ast.parse(snippet), _ring_classes())
+    assert [line for line, _ in found] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "rings.py"], ids=lambda p: p.name)
+def test_ring_kinds_are_asked_of_the_ring(path):
+    # a ring's kind is a fact the ring states (is_field, has_section,
+    # x_level, generator()); only rings.py may test classes or attributes
+    found = _ring_kind_tests(ast.parse(path.read_text(), str(path)), _ring_classes())
+    assert not found, f"{path.name}: {found}"

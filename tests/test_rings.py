@@ -3,7 +3,16 @@ import random
 import pytest
 from fractions import Fraction
 
-from ccsym.errors import CCSymError, MixedRings, NonUnit, NotAHomomorphism, UnsupportedRing
+from ccsym.errors import (
+    CCSymError,
+    InvariantViolation,
+    MixedRings,
+    NonUnit,
+    NotAHomomorphism,
+    ParseError,
+    UnsupportedRing,
+)
+from ccsym.parsing import parse_element, parse_ring
 from ccsym.rings import (
     IntegersModPrimePower,
     PrimeField,
@@ -165,8 +174,6 @@ def test_inv_antihomomorphism():
 
 
 def test_element_formatting_roundtrip():
-    from ccsym.parsing import parse_element
-
     rng = random.Random(6)
     for ring in (F5, Q, A2, A3, QE3, Z25):
         for _ in range(30):
@@ -240,3 +247,45 @@ def test_draw_streams_are_pinned():
             for _ in range(6)
         ]
         assert drawn == values, q
+
+
+@pytest.mark.parametrize(
+    "spec, generator, x_level",
+    [
+        ("F5", None, False),
+        ("Q", None, False),
+        ("Z/25", None, False),
+        ("F5[e]/(e^1)", None, False),
+        ("F5[e]/(e^3)", (0, 1, 0), False),
+        ("Q[e]/(e^2)", (Fraction(0), Fraction(1)), False),
+        ("F5[x]/(x^1)", None, True),
+        ("F5[x]/(x^3)", (0, 1, 0), True),
+    ],
+)
+def test_ring_facts(spec, generator, x_level):
+    # every ring answers generator() (or raises UnsupportedRing) and x_level;
+    # its generator's name parses exactly when it has a nonzero generator
+    ring = parse_ring(spec)
+    name = "x" if x_level else "e"
+    assert ring.x_level is x_level
+    if generator is None:
+        with pytest.raises(UnsupportedRing):
+            ring.generator()
+        with pytest.raises(ParseError):
+            parse_element(ring, name)
+    else:
+        assert ring.generator() == generator
+        assert parse_element(ring, name) == generator
+
+
+def test_nilpotent_powers():
+    assert A3.nilpotent_powers(A3.generator()) == [A3.one, (0, 1, 0), (0, 0, 1)]
+    assert A3.nilpotent_powers((0, 0, 2)) == [A3.one, (0, 0, 2)]
+    assert A3.nilpotent_powers(A3.zero) == [A3.one]
+    assert Z25.nilpotent_powers(10) == [1, 10]
+    assert QE3.nilpotent_powers((Fraction(0), Fraction(1, 2), Fraction(0))) == [
+        QE3.one, (0, Fraction(1, 2), 0), (0, 0, Fraction(1, 4))
+    ]
+    for ring, unit in ((A3, A3.one), (Z25, 2), (F5, 3), (Q, Fraction(1, 2))):
+        with pytest.raises(InvariantViolation):
+            ring.nilpotent_powers(unit)
