@@ -47,9 +47,7 @@ def reduce_de_coefficient(ring: Ring, c):
     _require_section(ring)
     if ring.is_field:
         return ring.zero
-    if _has_annihilator(ring):
-        return c[:-1] + (ring.base.zero,)
-    return c
+    return ring.drop_top(c) if _has_annihilator(ring) else c
 
 
 def _reduce_de_series(s: LaurentSeries) -> LaurentSeries:
@@ -58,10 +56,7 @@ def _reduce_de_series(s: LaurentSeries) -> LaurentSeries:
         return LaurentSeries.zero(ring)
     if not _has_annihilator(ring):
         return s
-    zero = ring.base.zero
-    return LaurentSeries(
-        ring, s.ell, (c[:-1] + (zero,) for c in s.coeffs), s.prec
-    )
+    return LaurentSeries(ring, s.ell, map(ring.drop_top, s.coeffs), s.prec)
 
 
 class AOneForm:

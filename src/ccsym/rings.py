@@ -2,10 +2,16 @@
 
 Supported rings: Z/p^m (the prime field F_p at m = 1), the rationals Q,
 and truncated polynomial rings k[e]/(e^m) over either base field.
-Elements are plain Python data (int, Fraction, or a coefficient tuple) in
-canonical form; each ring object supplies the operations, in the style of
-dense-polynomial ground domains.  Every element of a local ring here is
-either a unit (nonzero residue) or nilpotent.
+Elements are plain Python data in canonical form; each ring object
+supplies the operations, in the style of dense-polynomial ground domains.
+An element of Z/p^m is an int in [0, p^m), of Q a Fraction, and of
+F_p[e]/(e^m) its tuple of m coefficients in [0, p).  An element of
+Q[e]/(e^m) is the integer tuple (n_0, ..., n_{m-1}, d) for
+(n_0 + n_1 e + ... + n_{m-1} e^(m-1)) / d, with d > 0 and the gcd of all
+m + 1 entries 1, so that equal elements are equal tuples; its arithmetic
+never builds a Fraction.  Code outside this module reads coefficients
+only through ring methods.  Every element of a local ring here is either
+a unit (nonzero residue) or nilpotent.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import InvariantViolation, NonUnit, NotAHomomorphism, UnsupportedRing
 
@@ -387,16 +393,48 @@ class RationalField(Ring):
         return hash("Q")
 
 
-class TruncatedPolynomialRing(Ring):
-    """k[e]/(e^m) over a base field k, elements as length-m coefficient tuples.
+def _reduced(nums, den):
+    """The canonical tuple (*nums, den) / g, g = gcd(den, *nums), for den > 0."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return (*nums, den)
+    return (*[n // g for n in nums], den // g)
 
-    The generator name is cosmetic ("e" for deformation parameters, "x"
-    for truncated local fields k[x]/(x^m)); the ring structure only
-    depends on the base field and the truncation order.
+
+def _truncated_product(x, y, m: int) -> list:
+    """The first m coefficients of the product of the integer vectors x and y."""
+    acc = [0] * m
+    for i in range(m):
+        xi = x[i]
+        if xi:
+            for j in range(m - i):
+                acc[i + j] += xi * y[j]
+    return acc
+
+
+class TruncatedPolynomialRing(Ring):
+    """k[e]/(e^m) over a base field k.
+
+    Over F_p an element is its length-m tuple of coefficients in [0, p).
+    Over Q the constructor returns a RationalTruncatedRing, whose elements
+    are integer numerators over one denominator.  Either way
+    ``coefficients``/``from_coefficients`` convert to and from the tuple of
+    base-field coefficients, and ``numerators`` gives integer numerators
+    over one denominator.  The generator name is cosmetic ("e" for
+    deformation parameters, "x" for truncated local fields k[x]/(x^m)); the
+    ring structure only depends on the base field and the truncation order.
     """
 
     is_field = False
     has_section = True
+
+    def __new__(cls, base: Ring, gen: str = "e", order: int = 1):
+        if cls is TruncatedPolynomialRing and base.characteristic == 0:
+            cls = RationalTruncatedRing
+        return super().__new__(cls)
+
+    def __getnewargs__(self):
+        return self.base, self.gen, self.order
 
     def __init__(self, base: Ring, gen: str = "e", order: int = 1):
         if not base.is_field:
@@ -411,17 +449,30 @@ class TruncatedPolynomialRing(Ring):
         self.nilpotency_index = order
         self.width = order
         self.is_field = order == 1
-        self.zero = (base.zero,) * order
-        self.one = (base.one,) + (base.zero,) * (order - 1)
-        # coefficients reduce mod the base characteristic; over Q (0) they stay Fractions
-        self._modulus = base.characteristic
+        self.zero = self.lift(base.zero)
+        self.one = self.lift(base.one)
 
-    def generator(self):
-        if self.order < 2:
-            raise UnsupportedRing(f"{self} has no nonzero nilpotent generator")
-        return tuple(
-            self.base.one if i == 1 else self.base.zero for i in range(self.order)
-        )
+    def at_order(self, order: int) -> TruncatedPolynomialRing:
+        """k[e]/(e^order) over the same base field and generator name."""
+        return TruncatedPolynomialRing(self.base, self.gen, order)
+
+    # -- layout: F_p coefficient tuples (RationalTruncatedRing overrides) --
+
+    def coefficients(self, x) -> tuple:
+        """The base-field coefficients of x, constant term first."""
+        return x
+
+    def from_coefficients(self, cs):
+        """The element with the given base-field coefficients."""
+        return tuple(cs)
+
+    def numerators(self, x):
+        """(integer numerators, denominator) of x's coefficients."""
+        return x, 1
+
+    def drop_top(self, x):
+        """x less its e^(m-1) term: its representative modulo e^(m-1)."""
+        return x[:-1] + (0,)
 
     def add(self, x, y):
         base = self.base
@@ -435,20 +486,8 @@ class TruncatedPolynomialRing(Ring):
         return tuple(map(self.base.neg, x))
 
     def mul(self, x, y):
-        m = self.order
-        acc = [0] * m
-        for i in range(m):
-            xi = x[i]
-            if xi:
-                for j in range(m - i):
-                    acc[i + j] += xi * y[j]
-        return self._normalize(acc)
-
-    def _normalize(self, acc):
-        p = self._modulus
-        if p:
-            return tuple(a % p for a in acc)
-        return tuple(Fraction(a) for a in acc)
+        p = self.characteristic
+        return tuple(a % p for a in _truncated_product(x, y, self.order))
 
     def dot(self, xs, ys):
         m = self.order
@@ -459,7 +498,8 @@ class TruncatedPolynomialRing(Ring):
                 if xi:
                     for j in range(m - i):
                         acc[i + j] += xi * y[j]
-        return self._normalize(acc)
+        p = self.characteristic
+        return tuple(a % p for a in acc)
 
     def encode(self, xs):
         pad = self.zero[1:]
@@ -485,61 +525,66 @@ class TruncatedPolynomialRing(Ring):
             out[d] = base.neg(base.mul(c0inv, s))
         return tuple(out)
 
-    def is_zero(self, x):
+    def residue(self, x):
+        return x[0]
+
+    def d_epsilon(self, x):
+        p = self.characteristic
+        return tuple(i * x[i] % p for i in range(1, self.order)) + (0,)
+
+    # -- shared: canonical elements, read through the layout methods --------
+
+    def generator(self):
+        if self.order < 2:
+            raise UnsupportedRing(f"{self} has no nonzero nilpotent generator")
         base = self.base
-        return all(base.is_zero(c) for c in x)
+        return self.from_coefficients(
+            [base.one if i == 1 else base.zero for i in range(self.order)]
+        )
+
+    def is_zero(self, x):
+        return x == self.zero
 
     def is_unit(self, x):
-        return self.base.is_unit(x[0])
+        return x[0] != 0
 
     def is_nilpotent(self, x):
-        return self.base.is_zero(x[0])
+        return x[0] == 0
 
     @property
     def residue_field(self):
         return self.base
 
-    def residue(self, x):
-        return x[0]
-
     def lift(self, c):
-        return (c,) + (self.base.zero,) * (self.order - 1)
-
-    def d_epsilon(self, x):
-        base = self.base
-        out = [
-            base.mul(base.from_int(i), x[i]) for i in range(1, self.order)
-        ]
-        out.append(base.zero)
-        return tuple(out)
+        return self.from_coefficients((c,) + (self.base.zero,) * (self.order - 1))
 
     def from_int(self, n):
         return self.lift(self.base.from_int(n))
 
     def random_element(self, rng):
         base = self.base
-        return tuple(base.random_element(rng) for _ in range(self.order))
+        return self.from_coefficients([base.random_element(rng) for _ in range(self.order)])
 
     def random_unit(self, rng):
         base = self.base
-        return (base.random_unit(rng),) + tuple(
-            base.random_element(rng) for _ in range(self.order - 1)
+        return self.from_coefficients(
+            [base.random_unit(rng)] + [base.random_element(rng) for _ in range(self.order - 1)]
         )
 
     def random_nilpotent(self, rng):
         base = self.base
-        return (base.zero,) + tuple(
-            base.random_element(rng) for _ in range(self.order - 1)
+        return self.from_coefficients(
+            [base.zero] + [base.random_element(rng) for _ in range(self.order - 1)]
         )
 
     def iter_elements(self):
         pools = [list(self.base.iter_elements())] * self.order
-        return (tuple(c) for c in itertools.product(*pools))
+        return map(self.from_coefficients, itertools.product(*pools))
 
     def format_element(self, x):
         base = self.base
         parts = []
-        for i, c in enumerate(x):
+        for i, c in enumerate(self.coefficients(x)):
             if base.is_zero(c):
                 continue
             cs = base.format_element(c)
@@ -568,6 +613,109 @@ class TruncatedPolynomialRing(Ring):
 
     def __hash__(self):
         return hash(("T", self.base, self.gen, self.order))
+
+
+class RationalTruncatedRing(TruncatedPolynomialRing):
+    """Q[e]/(e^m) on integers, in the layout of FLINT's fmpq_poly.
+
+    An element is the tuple (n_0, ..., n_{m-1}, d) of m integer numerators
+    and one denominator, standing for (n_0 + n_1 e + ... ) / d, with d > 0
+    and gcd(n_0, ..., n_{m-1}, d) = 1.  Every element has exactly one such
+    tuple, so == and hash are tuple comparisons.  Arithmetic runs on the
+    integers and reduces each result once (_reduced); Fractions appear only
+    at the edges (residue, lift, coefficients and from_coefficients, hence
+    printing and the random draws).  Build it with TruncatedPolynomialRing.
+    """
+
+    def coefficients(self, x):
+        d = x[-1]
+        return tuple(Fraction(n, d) for n in x[:-1])
+
+    def from_coefficients(self, cs):
+        # reduced fractions over the lcm of their denominators share no factor
+        cs = list(cs)
+        den = lcm(*[c.denominator for c in cs])
+        return (*[c.numerator * (den // c.denominator) for c in cs], den)
+
+    def numerators(self, x):
+        return x[:-1], x[-1]
+
+    def drop_top(self, x):
+        return _reduced([*x[:-2], 0], x[-1])
+
+    def from_int(self, n):
+        return (n,) + self.one[1:]
+
+    def residue(self, x):
+        return Fraction(x[0], x[-1])
+
+    def add(self, x, y):
+        dx, dy = x[-1], y[-1]
+        if dx == dy:
+            return _reduced([a + b for a, b in zip(x[:-1], y)], dx)
+        return _reduced([a * dy + b * dx for a, b in zip(x[:-1], y)], dx * dy)
+
+    def sub(self, x, y):
+        dx, dy = x[-1], y[-1]
+        if dx == dy:
+            return _reduced([a - b for a, b in zip(x[:-1], y)], dx)
+        return _reduced([a * dy - b * dx for a, b in zip(x[:-1], y)], dx * dy)
+
+    def neg(self, x):
+        return (*[-a for a in x[:-1]], x[-1])
+
+    def mul(self, x, y):
+        m = self.order
+        return _reduced(_truncated_product(x, y, m), x[m] * y[m])
+
+    def dot(self, xs, ys):
+        """One common denominator: the lcm of the products' denominators."""
+        m = self.order
+        dens = [x[m] * y[m] for x, y in zip(xs, ys)]
+        den = lcm(*dens)
+        acc = [0] * m
+        for x, y, d in zip(xs, ys, dens):
+            scale = den // d
+            for i in range(m):
+                xi = x[i]
+                if xi:
+                    xi *= scale
+                    for j in range(m - i):
+                        acc[i + j] += xi * y[j]
+        return _reduced(acc, den)
+
+    def encode(self, xs):
+        den = lcm(*[x[-1] for x in xs])
+        pad = [0] * (self.order - 1)
+        slots = []
+        for x in xs:
+            scale = den // x[-1]
+            slots.extend(x[:-1] if scale == 1 else [n * scale for n in x[:-1]])
+            slots.extend(pad)
+        return slots, den
+
+    def decode(self, slots, den):
+        m = self.order
+        return [_reduced(slots[j : j + m], den) for j in range(0, len(slots), 2 * m - 1)]
+
+    def inv(self, x):
+        # x = N/d with N = sum n_i e^i; N^-1 = sum q_k e^k / n0^(k+1) where
+        # q_0 = 1 and q_k = -sum_{1<=i<=k} n_i q_(k-i) n0^(i-1), so
+        # x^-1 = sum d q_k n0^(m-1-k) e^k / n0^m.
+        m, n0 = self.order, x[0]
+        if not n0:
+            raise NonUnit(f"{self.format_element(x)} is not a unit of {self}")
+        q = [1]
+        for k in range(1, m):
+            q.append(-sum(x[i] * q[k - i] * n0 ** (i - 1) for i in range(1, k + 1)))
+        nums = [x[m] * qk * n0 ** (m - 1 - k) for k, qk in enumerate(q)]
+        den = n0**m
+        if den < 0:
+            nums, den = [-v for v in nums], -den
+        return _reduced(nums, den)
+
+    def d_epsilon(self, x):
+        return _reduced([i * x[i] for i in range(1, self.order)] + [0], x[-1])
 
 
 class RingMap:
@@ -607,10 +755,7 @@ def epsilon_map(source: Ring, target: Ring, image) -> RingMap:
     if isinstance(target, TruncatedPolynomialRing):
         if target.base != source.base:
             raise NotAHomomorphism(f"base fields of {source} and {target} differ")
-        embed = target.lift
-    elif target == source.base:
-        embed = lambda c: c  # noqa: E731
-    else:
+    elif target != source.base:
         raise NotAHomomorphism(f"{target} is not a ring over {source.base}")
     if not target.is_nilpotent(image):
         raise NotAHomomorphism("image of the generator must be nilpotent")
@@ -620,10 +765,12 @@ def epsilon_map(source: Ring, target: Ring, image) -> RingMap:
         )
 
     def apply(x):
+        # Horner on the integer numerators, then one division by the denominator
+        nums, den = source.numerators(x)
         acc = target.zero
-        for c in reversed(x):
-            acc = target.add(target.mul(acc, image), embed(c))
-        return acc
+        for n in reversed(nums):
+            acc = target.add(target.mul(acc, image), target.from_int(n))
+        return acc if den == 1 else target.mul(acc, target.inv(target.from_int(den)))
 
     return RingMap(
         source,

@@ -428,7 +428,7 @@ def _split_unit(f: LaurentSeries) -> _UnitSplit:
         tail = h0.truncate(-geom.ell) * geom
     if tail.prec < 0:
         raise IndeterminateAtPrecision(f"negative tail of {f} not determined")
-    f._split = _UnitSplit(w, c, tuple(raw), geom, h0 * geom)
+    f._split = _UnitSplit(w, c, tuple(raw), geom, h0 * geom if raw else h0)
     return f._split
 
 

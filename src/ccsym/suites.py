@@ -126,7 +126,7 @@ def _record(index, inputs, expected, actual) -> CaseRecord:
 
 def _level_drop(ring: TruncatedPolynomialRing, lower: int):
     """The truncation k[x]/(x^m) -> k[x]/(x^lower), x -> x."""
-    target = TruncatedPolynomialRing(ring.base, "x", lower)
+    target = ring.at_order(lower)
     image = target.zero if lower == 1 else target.generator()
     return epsilon_map(ring, target, image)
 

@@ -137,13 +137,13 @@ def _coordinates(split: _UnitSplit, neg: dict, prec) -> UnitDecomposition:
     ring = h.ring
     u0 = h.coeff(0)
     a0 = ring.mul(split.c, u0)
-    u = h.scalar_mul(ring.inv(u0))
-    if u.prec == INF and len(u.coeffs) <= 1:
+    if h.prec == INF and len(h.coeffs) <= 1:
         # pure monomial times negative tail: every positive coordinate is zero
         return UnitDecomposition(ring, split.w, a0, {}, neg, INF)
-    u = u.truncate(prec if prec != INF else DEFAULT_PRECISION)
-    avail = int(u.prec)
-    pos = _peel(ring, [u.coeff(k) for k in range(avail)])
+    # scale only the window by u0^-1, not all of h
+    avail = int(min(h.prec, prec if prec != INF else DEFAULT_PRECISION))
+    inv_u0 = ring.inv(u0)
+    pos = _peel(ring, [ring.mul(inv_u0, h.coeff(k)) for k in range(avail)])
     return UnitDecomposition(ring, split.w, a0, pos, neg, avail)
 
 

@@ -55,6 +55,17 @@ def test_dlog2_verb():
     assert code == 0 and "res2: de" in out
 
 
+def test_rational_examples():
+    # exact printed values over Q[e]/(e^3), denominators reduced
+    f, g = "1/2 - e*t^-3 + 5/7*e^2*t^-1", "(2/3 + e)*t - 1/4*t^2 + e*t^-1"
+    code, out = run(["symbol", "cc", "--ring", "Q[e]/(e^3)", "--f", f, "--g", g])
+    assert code == 0 and out.strip() == "1/2+27/512*e-489003/917504*e^2"
+    f, g = "(1/2+e)*t - 3*e^2*t^-1 + 2/3*t^2", "(3 - e/5)*t^-2 + e*t^-1 + 7"
+    code, out = run(["dlog2", "--ring", "Q[e]/(e^3)", "--f", f, "--g", g])
+    assert code == 0 and out.splitlines()[-1] == "res2: (-59/15-1199/225*e)*de"
+    assert out.startswith("(24*e*t^-3-32*e*t^-2+(-59/15-1199/225*e)*t^-1+229/45-2096/675*e+")
+
+
 def test_dlog2_exact_deep_pole():
     args = ["--ring", "F3[e]/(e^4)", "--f", "1-e*t^-20", "--g", "1-t"]
     code, out = run(["dlog2", *args])

@@ -28,7 +28,7 @@ def elements(ring):
     if isinstance(ring, RationalField):
         return st.fractions(min_value=-20, max_value=20, max_denominator=8)
     base = elements(ring.base)
-    return st.tuples(*[base] * ring.order)
+    return st.tuples(*[base] * ring.order).map(ring.from_coefficients)
 
 
 ring_and_elements = st.sampled_from(sorted(RINGS)).flatmap(

@@ -66,10 +66,9 @@ def _top(ring):
     """The element with every component at its largest representative."""
     if ring.characteristic == 0:
         big = Fraction(-(10**15) + 1, 10**12 - 11)
-        return big if ring.width == 1 else (big,) * ring.width
-    if ring.width == 1:
-        return ring.characteristic - 1
-    return (ring.characteristic - 1,) * ring.width
+    else:
+        big = ring.characteristic - 1
+    return big if ring.width == 1 else ring.from_coefficients((big,) * ring.width)
 
 
 #: denominators of the rational test data: large, but with a bounded lcm
@@ -85,7 +84,7 @@ def _scalar(ring, rng):
 def _element(ring, rng):
     if ring.width == 1:
         return _scalar(ring, rng)
-    return tuple(_scalar(ring.base, rng) for _ in range(ring.width))
+    return ring.from_coefficients([_scalar(ring.base, rng) for _ in range(ring.width)])
 
 
 def _vector(ring, rng, n, kind):

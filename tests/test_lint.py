@@ -120,3 +120,26 @@ def test_ring_kinds_are_asked_of_the_ring(path):
     # x_level, generator()); only rings.py may test classes or attributes
     found = _ring_kind_tests(ast.parse(path.read_text(), str(path)), _ring_classes())
     assert not found, f"{path.name}: {found}"
+
+
+def _base_reads(tree):
+    """(line, text) of each ``.base`` attribute access."""
+    return [
+        (node.lineno, ast.unparse(node))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "base"
+    ]
+
+
+def test_base_reads_are_flagged():
+    found = _base_reads(ast.parse("ring.base.zero\nf.ring.base\nbase = 1\nring.based\n"))
+    assert sorted(line for line, _ in found) == [1, 2]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "rings.py"], ids=lambda p: p.name)
+def test_element_layout_stays_in_rings(path):
+    # how an element is stored depends on the base field (coefficients over
+    # F_p, integer numerators over one denominator over Q), so only rings.py
+    # reads a ring's base; everything else asks the ring
+    found = _base_reads(ast.parse(path.read_text(), str(path)))
+    assert not found, f"{path.name}: {found}"

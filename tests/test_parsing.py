@@ -60,7 +60,9 @@ def test_parse_element():
     assert parse_element(Q, "3/2") == Fraction(3, 2)
     assert parse_element(Q, "-1/2 + 2") == Fraction(3, 2)
     QE = parse_ring("Q[e]/(e^3)")
-    assert parse_element(QE, "1/2 - 3*e^2") == (Fraction(1, 2), Fraction(0), Fraction(-3))
+    assert parse_element(QE, "1/2 - 3*e^2") == QE.from_coefficients(
+        (Fraction(1, 2), Fraction(0), Fraction(-3))
+    )
     with pytest.raises(ParseError):
         parse_element(A, "1 + t")
     with pytest.raises(ParseError):

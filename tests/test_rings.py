@@ -50,7 +50,7 @@ def test_inverses():
 
 def test_residue_and_lift():
     assert A2.residue((1, 2)) == 1
-    assert QE3.lift(Fraction(2)) == (Fraction(2), Fraction(0), Fraction(0))
+    assert QE3.lift(Fraction(2)) == QE3.from_coefficients((Fraction(2), Fraction(0), Fraction(0)))
     assert Z25.residue(7) == 2
     # lift splits residue
     for ring in (A2, A3, QE3, Z25):
@@ -95,7 +95,9 @@ def test_nilpotency_index():
 def test_d_epsilon():
     assert A2.d_epsilon((1, 2)) == (2, 0)
     g2 = QE3.generator()
-    assert QE3.d_epsilon(QE3.mul(g2, g2)) == (Fraction(0), Fraction(2), Fraction(0))
+    assert QE3.d_epsilon(QE3.mul(g2, g2)) == QE3.from_coefficients(
+        (Fraction(0), Fraction(2), Fraction(0))
+    )
     assert QE3.d_epsilon(QE3.from_int(5)) == QE3.zero
     with pytest.raises(UnsupportedRing):
         F5.d_epsilon(1)
@@ -257,7 +259,11 @@ def test_draw_streams_are_pinned():
         ("Z/25", None, False),
         ("F5[e]/(e^1)", None, False),
         ("F5[e]/(e^3)", (0, 1, 0), False),
-        ("Q[e]/(e^2)", (Fraction(0), Fraction(1)), False),
+        (
+            "Q[e]/(e^2)",
+            TruncatedPolynomialRing(Q, "e", 2).from_coefficients((Fraction(0), Fraction(1))),
+            False,
+        ),
         ("F5[x]/(x^1)", None, True),
         ("F5[x]/(x^3)", (0, 1, 0), True),
     ],
@@ -283,8 +289,11 @@ def test_nilpotent_powers():
     assert A3.nilpotent_powers((0, 0, 2)) == [A3.one, (0, 0, 2)]
     assert A3.nilpotent_powers(A3.zero) == [A3.one]
     assert Z25.nilpotent_powers(10) == [1, 10]
-    assert QE3.nilpotent_powers((Fraction(0), Fraction(1, 2), Fraction(0))) == [
-        QE3.one, (0, Fraction(1, 2), 0), (0, 0, Fraction(1, 4))
+    half_e = QE3.from_coefficients((Fraction(0), Fraction(1, 2), Fraction(0)))
+    assert QE3.nilpotent_powers(half_e) == [
+        QE3.one,
+        QE3.from_coefficients((0, Fraction(1, 2), 0)),
+        QE3.from_coefficients((0, 0, Fraction(1, 4))),
     ]
     for ring, unit in ((A3, A3.one), (Z25, 2), (F5, 3), (Q, Fraction(1, 2))):
         with pytest.raises(InvariantViolation):
