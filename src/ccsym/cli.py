@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .errors import CCSymError, IdentityViolated
-from .forms import OneForm, TwoForm, dlog2, res1, res2, res2_dlog2
+from .forms import AOneForm, TwoForm, dlog2, res1, res2, res2_dlog2
 from .parsing import (
     parse_element,
     parse_form,
@@ -184,11 +184,11 @@ def _cmd_verify(args, out) -> int:
         out(f"res2(dlog2(f,g)) = {value.format()}")
         out("PASS")
         return 0
+    # residue-sum values are AOneForms, the symbols' are ring elements
+    show = AOneForm.format if args.law == "residue-sum" else ring.format_element
     for pt, value in r.per_point:
-        shown = value.format() if hasattr(value, "format") else ring.format_element(value)
-        out(f"  at {pt.format(ring)}: {shown}")
-    total = r.product.format() if hasattr(r.product, "format") else ring.format_element(r.product)
-    out(f"product/sum: {total}")
+        out(f"  at {pt.format(ring)}: {show(value)}")
+    out(f"product/sum: {show(r.product)}")
     out("PASS" if r.passed else "FAIL")
     return 0 if r.passed else 1
 

@@ -79,7 +79,12 @@ def _tokenize(text: str):
 
 
 class _ExpressionParser:
-    """Recursive-descent evaluator producing Laurent series values."""
+    """Recursive-descent evaluator producing Laurent series values.
+
+    sum := product (('+'|'-') product)*, product := unary (('*'|'/') unary)*,
+    unary := ('-'|'+') unary | power, power := atom ['^' exponent]; so a
+    sign covers the whole power after it, and -t^2 is -(t^2).
+    """
 
     def __init__(self, text: str, ring: Ring, variables: dict):
         self.text = text
@@ -120,18 +125,18 @@ class _ExpressionParser:
                 return value
 
     def product(self) -> LaurentSeries:
-        value = self.power()
+        value = self.unary()
         while True:
             kind, op, _ = self.peek()
             if kind == "op" and op in "*/":
                 self.next()
-                rhs = self.power()
+                rhs = self.unary()
                 value = value * rhs if op == "*" else value * rhs.inverse()
             else:
                 return value
 
     def power(self) -> LaurentSeries:
-        base = self.unary()
+        base = self.atom()
         kind, op, _ = self.peek()
         if kind == "op" and op == "^":
             self.next()
@@ -161,7 +166,7 @@ class _ExpressionParser:
         if kind == "op" and op == "+":
             self.next()
             return self.unary()
-        return self.atom()
+        return self.power()
 
     def atom(self) -> LaurentSeries:
         kind, value, pos = self.next()

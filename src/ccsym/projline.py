@@ -68,13 +68,12 @@ def _check_residue_disjoint(ring: Ring, values) -> None:
     k = ring.residue_field
     for v in values:
         r = ring.residue(v)
-        key = r if not isinstance(r, tuple) else tuple(r)
-        if key in seen and seen[key] != v:
+        if r in seen and seen[r] != v:
             raise SectionCollision(
-                f"sections {ring.format_element(seen[key])} and "
+                f"sections {ring.format_element(seen[r])} and "
                 f"{ring.format_element(v)} collide over the residue field {k}"
             )
-        seen.setdefault(key, v)
+        seen.setdefault(r, v)
 
 
 class SplitRationalFunction:

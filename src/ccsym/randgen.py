@@ -31,49 +31,50 @@ class UnitDraw:
         return self.series(8).format()
 
 
-def draw_unit(ring: Ring, rng, max_winding: int = 2, pos_terms: int = 4,
-              neg_depth: int = 2) -> UnitDraw:
-    terms = {0: ring.random_unit(rng)}
-    for i in range(1, pos_terms + 1):
-        terms[i] = ring.random_element(rng)
+def _nilpotent_tail(ring: Ring, rng) -> dict:
+    """{j: a_j} for j = 1, 2: each a nonzero nilpotent with probability at
+    most 1/2, none over a field."""
+    tail = {}
     if not ring.is_field:
-        for i in range(1, neg_depth + 1):
+        for j in (1, 2):
             if rng.random() < 0.5:
                 v = ring.random_nilpotent(rng)
                 if not ring.is_zero(v):
-                    terms[-i] = v
-    return UnitDraw(ring, rng.randint(-max_winding, max_winding), terms)
+                    tail[j] = v
+    return tail
 
 
-def draw_steinberg_unit(ring: Ring, rng, **kw) -> UnitDraw:
+def draw_unit(ring: Ring, rng) -> UnitDraw:
+    """t^w (c_0 + c_1 t + ... + c_4 t^4 + a_1 t^-1 + a_2 t^-2): c_0 a unit,
+    the a_j from `_nilpotent_tail`, the winding w in [-2, 2]."""
+    terms = {0: ring.random_unit(rng)}
+    for i in range(1, 5):
+        terms[i] = ring.random_element(rng)
+    terms.update((-j, v) for j, v in _nilpotent_tail(ring, rng).items())
+    return UnitDraw(ring, rng.randint(-2, 2), terms)
+
+
+def draw_steinberg_unit(ring: Ring, rng) -> UnitDraw:
     """A unit f such that 1 - f is provably a unit from its stored window."""
     for _ in range(200):
-        d = draw_unit(ring, rng, **kw)
+        d = draw_unit(ring, rng)
         probe = LaurentSeries.one(ring) - d.series(8)
         if any(ring.is_unit(c) for c in probe.coeffs):
             return d
     raise CCSymError("could not draw a Steinberg-admissible unit")
 
 
-def draw_decomposition(ring: Ring, rng, window: int = 6, max_winding: int = 2,
-                       neg_depth: int = 2) -> UnitDecomposition:
-    """Random coordinates supported below `window`; all coordinates known."""
+def draw_decomposition(ring: Ring, rng) -> UnitDecomposition:
+    """Exact random coordinates: positive ones at 1..5, negative ones from
+    `_nilpotent_tail`, the winding in [-2, 2]."""
     pos = {}
-    for i in range(1, window):
+    for i in range(1, 6):
         if rng.random() < 0.6:
             v = ring.random_element(rng)
             if not ring.is_zero(v):
                 pos[i] = v
-    neg = {}
-    if not ring.is_field:
-        for i in range(1, neg_depth + 1):
-            if rng.random() < 0.5:
-                v = ring.random_nilpotent(rng)
-                if not ring.is_zero(v):
-                    neg[i] = v
-    return UnitDecomposition(
-        ring, rng.randint(-max_winding, max_winding), ring.random_unit(rng), pos, neg, INF
-    )
+    neg = _nilpotent_tail(ring, rng)
+    return UnitDecomposition(ring, rng.randint(-2, 2), ring.random_unit(rng), pos, neg, INF)
 
 
 def draw_sections(ring: Ring, rng, count: int):
@@ -96,12 +97,13 @@ def draw_sections(ring: Ring, rng, count: int):
     return out
 
 
-def draw_split_pair(ring: Ring, rng, max_sections: int = 5, max_exp: int = 3):
-    """Two factored rational functions supported on a shared section set."""
+def draw_split_pair(ring: Ring, rng):
+    """Two factored rational functions supported on a shared set of at most
+    five sections, with exponents in [-3, 3] minus 0."""
     from .projline import SplitRationalFunction
 
-    sections = draw_sections(ring, rng, rng.randint(0, max_sections))
-    exponents = [e for e in range(-max_exp, max_exp + 1) if e]
+    sections = draw_sections(ring, rng, rng.randint(0, 5))
+    exponents = [e for e in range(-3, 4) if e]
 
     def one():
         used = [s for s in sections if rng.random() < 0.8]
@@ -121,13 +123,13 @@ def draw_uniformizer(ring: Ring, rng, prec: int = 40) -> LaurentSeries:
     return LaurentSeries.from_terms(ring, terms, prec=prec)
 
 
-def with_precision_retry(check, start: int = 16, retries: int = 4):
-    """Run check(prec), doubling the window on precision failures."""
+def with_precision_retry(check, start: int = 16):
+    """check(prec) at prec = start, doubling the window on each precision
+    failure; the fifth try, at 16*start, raises what it raises."""
     prec = start
-    for attempt in range(retries + 1):
+    for _ in range(4):
         try:
             return check(prec)
         except (InsufficientPrecision, IndeterminateAtPrecision):
-            if attempt == retries:
-                raise
             prec *= 2
+    return check(prec)

@@ -1,11 +1,14 @@
 """Randomized verification suites with reproducible reports.
 
-Every suite draws its cases from a seeded generator, checks an exact
-identity case by case, and returns a Report whose failures carry full
-reproduction data (seed, case index, serialized inputs).  Text reports
-contain no timing and are byte-identical under a fixed seed; JSON
-reports add elapsed_ms.  Cases are independent and could be evaluated
-concurrently; they are run in index order so reports are deterministic.
+A suite is its default rings and a case body.  `_cases` is the one loop:
+it parses the rings once, and for each case index idx < cases calls the
+body on ring idx mod #rings.  The body draws from the suite's one seeded
+generator, checks an exact identity and returns (inputs, expected,
+actual), and the case passes when expected == actual.  Failures carry
+full reproduction data (seed, case index, serialized inputs).  Text
+reports contain no timing and are byte-identical under a fixed seed;
+JSON reports add elapsed_ms.  The cases share the generator, so they run
+in index order and each draws after every case before it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import gcd
 
 from .errors import CCSymError, IdentityViolated
@@ -28,7 +31,7 @@ from .randgen import (
     draw_sections,
     with_precision_retry,
 )
-from .rings import Ring, TruncatedPolynomialRing, epsilon_map
+from .rings import Ring, epsilon_map
 from .series import LaurentSeries
 from .symbols import (
     MHatElement,
@@ -49,14 +52,7 @@ class SuiteConfig:
     xprec: int = 4
 
     def echo(self) -> dict:
-        return {
-            "suite": self.suite,
-            "rings": list(self.rings),
-            "cases": self.cases,
-            "seed": self.seed,
-            "exponent_bound": self.exponent_bound,
-            "xprec": self.xprec,
-        }
+        return {**asdict(self), "rings": list(self.rings)}
 
 
 @dataclass
@@ -115,20 +111,29 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _rings(config: SuiteConfig, defaults) -> list[Ring]:
-    specs = config.rings or defaults
-    return [parse_ring(s) for s in specs]
+def _cases(config: SuiteConfig, defaults, case) -> list[CaseRecord]:
+    """The one case loop: case(ring, idx) for every idx < config.cases."""
+    rings = [parse_ring(s) for s in config.rings or defaults]
+    out = []
+    for idx in range(config.cases):
+        inputs, expected, actual = case(rings[idx % len(rings)], idx)
+        out.append(CaseRecord(idx, inputs, expected, actual, expected == actual))
+    return out
 
 
-def _record(index, inputs, expected, actual) -> CaseRecord:
-    return CaseRecord(index, inputs, expected, actual, expected == actual)
-
-
-def _level_drop(ring: TruncatedPolynomialRing, lower: int):
-    """The truncation k[x]/(x^m) -> k[x]/(x^lower), x -> x."""
-    target = ring.at_order(lower)
-    image = target.zero if lower == 1 else target.generator()
-    return epsilon_map(ring, target, image)
+def _level_mismatch(symbol, f: MHatElement, g: MHatElement, top: int):
+    """The first level 1..top at which symbol(f, g), truncated, differs from
+    the symbol of the truncated f and g; None when every level agrees."""
+    ring = f.ring
+    value = symbol(f, g)
+    for lower in range(1, top + 1):
+        # the truncation k[x]/(x^m) -> k[x]/(x^lower), x -> x
+        target = ring.at_order(lower)
+        drop = epsilon_map(ring, target, target.zero if lower == 1 else target.generator())
+        low = symbol(f.map_level(drop), g.map_level(drop))
+        if value.map_level(drop) != low:
+            return lower
+    return None
 
 
 # -- closed-form identities ------------------------------------------------
@@ -161,25 +166,13 @@ def _sparse_pair(ring: Ring, clause: str, n: int, m: int, a, b):
 
 
 def suite_lemma34(config: SuiteConfig, rng) -> list[CaseRecord]:
-    rings = _rings(
-        config,
-        [
-            "F2[e]/(e^2)", "F3[e]/(e^2)", "F5[e]/(e^2)",
-            "F2[e]/(e^3)", "F3[e]/(e^3)", "F5[e]/(e^3)",
-            "Z/4", "Z/9", "Z/25",
-            "F2[x]/(x^2)", "F3[x]/(x^3)", "F5[x]/(x^3)",
-        ],
-    )
-    out = []
-    clauses = ("i", "ii", "iii", "iv")
-    for idx in range(config.cases):
-        ring = rings[idx % len(rings)]
-        clause = clauses[idx % 4]
+    def case(ring, idx):
+        clause = ("i", "ii", "iii", "iv")[idx % 4]
         n = rng.randint(1, config.exponent_bound)
         m = rng.randint(1, config.exponent_bound)
         a = ring.random_nilpotent(rng) if clause in ("i", "iv") else ring.random_element(rng)
         b = ring.random_nilpotent(rng) if clause in ("i", "iii") else ring.random_element(rng)
-        want = _closed_form(ring, clause, n, m, a, b)
+        want = ring.format_element(_closed_form(ring, clause, n, m, a, b))
         f, g = _sparse_pair(ring, clause, n, m, a, b)
         inputs = {
             "ring": str(ring), "clause": clause, "n": n, "m": m,
@@ -188,22 +181,26 @@ def suite_lemma34(config: SuiteConfig, rng) -> list[CaseRecord]:
         if ring.x_level:
             kv = kato_residue(MHatElement(ring, 0, f), MHatElement(ring, 0, g))
             inputs["route"] = "kato"
-            out.append(_record(idx, inputs, f"(0, {ring.format_element(want)})",
-                               f"({kv.exponent}, {ring.format_element(kv.unit)})"))
-        else:
-            got = contou_carrere(f, g)
-            inputs["route"] = "cc"
-            out.append(_record(idx, inputs, ring.format_element(want), ring.format_element(got)))
-    return out
+            return inputs, f"(0, {want})", f"({kv.exponent}, {ring.format_element(kv.unit)})"
+        inputs["route"] = "cc"
+        return inputs, want, ring.format_element(contou_carrere(f, g))
+
+    return _cases(
+        config,
+        [
+            "F2[e]/(e^2)", "F3[e]/(e^2)", "F5[e]/(e^2)",
+            "F2[e]/(e^3)", "F3[e]/(e^3)", "F5[e]/(e^3)",
+            "Z/4", "Z/9", "Z/25",
+            "F2[x]/(x^2)", "F3[x]/(x^3)", "F5[x]/(x^3)",
+        ],
+        case,
+    )
 
 
 def suite_lemma35(config: SuiteConfig, rng) -> list[CaseRecord]:
-    m_level = config.xprec
-    rings = _rings(config, [f"F{p}[x]/(x^{m_level})" for p in (2, 3, 5)])
-    out = []
     bound = config.exponent_bound
-    for idx in range(config.cases):
-        ring = rings[idx % len(rings)]
+
+    def case(ring, idx):
         kind = "i" if idx % 2 == 0 else "ii"
         e1 = rng.randint(-2, 2)
         n = rng.randint(-bound, bound)
@@ -224,7 +221,6 @@ def suite_lemma35(config: SuiteConfig, rng) -> list[CaseRecord]:
                 ring.pow(ring.neg(ring.one), (n * mm) & 1),
                 ring.mul(ring.pow(a, mm), ring.pow(b, -n)),
             )
-            gtxt = g.format()
         else:
             mm = rng.choice([k for k in range(-bound, bound + 1) if k])
             b = ring.random_nilpotent(rng) if mm < 0 else ring.random_element(rng)
@@ -232,23 +228,20 @@ def suite_lemma35(config: SuiteConfig, rng) -> list[CaseRecord]:
                 ring, 0, LaurentSeries.one(ring) - LaurentSeries.t_power(ring, mm, b)
             )
             want_exp, want_unit = 0, ring.one
-            gtxt = g.format()
         kv = kato_residue(f, g)
-        out.append(
-            _record(
-                idx,
-                {"ring": str(ring), "kind": kind, "f": f.format(), "g": gtxt},
-                f"({want_exp}, {ring.format_element(want_unit)})",
-                f"({kv.exponent}, {ring.format_element(kv.unit)})",
-            )
+        return (
+            {"ring": str(ring), "kind": kind, "f": f.format(), "g": g.format()},
+            f"({want_exp}, {ring.format_element(want_unit)})",
+            f"({kv.exponent}, {ring.format_element(kv.unit)})",
         )
-    return out
+
+    return _cases(config, [f"F{p}[x]/(x^{config.xprec})" for p in (2, 3, 5)], case)
 
 
 # -- the residue square ------------------------------------------------------
 
 
-def _square_case_artinian(ring, rng, idx) -> CaseRecord:
+def _square_case_artinian(ring, rng):
     fd = draw_unit(ring, rng)
     gd = draw_unit(ring, rng)
 
@@ -259,15 +252,10 @@ def _square_case_artinian(ring, rng, idx) -> CaseRecord:
         return f, g, lhs, rhs
 
     f, g, lhs, rhs = with_precision_retry(check, start=16)
-    return _record(
-        idx,
-        {"ring": str(ring), "f": f.format(), "g": g.format()},
-        rhs.format(),
-        lhs.format(),
-    )
+    return {"ring": str(ring), "f": f.format(), "g": g.format()}, rhs.format(), lhs.format()
 
 
-def _square_case_level(ring, rng, idx) -> CaseRecord:
+def _square_case_level(ring, rng):
     fd = draw_unit(ring, rng)
     gd = draw_unit(ring, rng)
     e1, e2 = rng.randint(-2, 2), rng.randint(-2, 2)
@@ -275,62 +263,40 @@ def _square_case_level(ring, rng, idx) -> CaseRecord:
     def check(prec):
         f = MHatElement(ring, e1, fd.series(prec))
         g = MHatElement(ring, e2, gd.series(prec))
-        kv = log_square_check(f, g)
-        # truncation-compatibility across levels
-        for lower in range(1, ring.order):
-            drop = _level_drop(ring, lower)
-            kv_low = log_square_check(f.map_level(drop), g.map_level(drop))
-            if kv.map_level(drop) != kv_low:
-                msg = f"level {ring.order} -> {lower} truncation mismatch"
-                raise IdentityViolated(msg, kv.map_level(drop), kv_low)
-        return f, g, kv
+        return f, g, _level_mismatch(log_square_check, f, g, ring.order - 1)
 
+    want = "square + level compatibility"
     try:
-        f, g, kv = with_precision_retry(check, start=16)
-        return _record(
-            idx,
-            {"ring": str(ring), "f": f.format(), "g": g.format()},
-            "square + level compatibility",
-            "square + level compatibility",
-        )
+        f, g, lower = with_precision_retry(check, start=16)
     except IdentityViolated as exc:
-        return CaseRecord(
-            idx,
-            {"ring": str(ring), "f": fd.format(), "g": gd.format()},
-            "square + level compatibility",
-            str(exc),
-            False,
-        )
+        return {"ring": str(ring), "f": fd.format(), "g": gd.format()}, want, str(exc)
+    actual = want if lower is None else f"level {ring.order} -> {lower} truncation mismatch"
+    return {"ring": str(ring), "f": f.format(), "g": g.format()}, want, actual
 
 
 def suite_dlog_square(config: SuiteConfig, rng) -> list[CaseRecord]:
-    rings = _rings(
-        config,
+    defaults = (
         [f"F{p}[e]/(e^{m})" for p in (2, 3, 5, 7) for m in (2, 3, 4)]
         + ["Q[e]/(e^2)", "Q[e]/(e^3)"]
-        + [f"F3[x]/(x^{n})" for n in (1, 2, 3, 4)],
+        + [f"F3[x]/(x^{n})" for n in (1, 2, 3, 4)]
     )
-    for ring in rings:
+    for ring in [parse_ring(s) for s in config.rings or defaults]:
         if not ring.has_section:
             raise CCSymError(f"{ring} does not support differential forms")
-    out = []
-    for idx in range(config.cases):
-        ring = rings[idx % len(rings)]
-        case = _square_case_level if ring.x_level else _square_case_artinian
-        out.append(case(ring, rng, idx))
-    return out + closed_form_square_records(config, rng)
+
+    def case(ring, idx):
+        square = _square_case_level if ring.x_level else _square_case_artinian
+        return square(ring, rng)
+
+    return _cases(config, defaults, case) + closed_form_square_records(config, rng)
 
 
 def closed_form_square_records(config: SuiteConfig, rng) -> list[CaseRecord]:
     """The seven sparse-shape identities of the residue square, n,m exhausted."""
-    rings = [
-        r
-        for r in _rings(config, [f"F{p}[e]/(e^{m})" for p in (2, 3, 5) for m in (2, 3)])
-        if not r.is_field and r.has_section
-    ]
+    specs = config.rings or [f"F{p}[e]/(e^{m})" for p in (2, 3, 5) for m in (2, 3)]
+    rings = [r for r in map(parse_ring, specs) if not r.is_field and r.has_section]
     bound = min(config.exponent_bound, 5)
     out = []
-    idx = 0
     for ring in rings:
         M = ring.nilpotency_index
         exhaustive = list(ring.iter_elements()) if ring.characteristic == 2 and M <= 3 else None
@@ -347,17 +313,11 @@ def closed_form_square_records(config: SuiteConfig, rng) -> list[CaseRecord]:
                     anil = ring.mul(a, ring.generator())
                     bnil = ring.mul(b, ring.generator())
                     for tag, f, g, want in _square_identities(ring, n, m, a, b, anil, bnil, M):
-                        lhs = res2(dlog2(f, g))
-                        out.append(
-                            _record(
-                                idx,
-                                {"ring": str(ring), "identity": tag, "n": n, "m": m,
-                                 "a": ring.format_element(a), "b": ring.format_element(b)},
-                                want.format(),
-                                lhs.format(),
-                            )
-                        )
-                        idx += 1
+                        expected, actual = want.format(), res2(dlog2(f, g)).format()
+                        inputs = {"ring": str(ring), "identity": tag, "n": n, "m": m,
+                                  "a": ring.format_element(a), "b": ring.format_element(b)}
+                        out.append(CaseRecord(len(out), inputs, expected, actual,
+                                              expected == actual))
     return out
 
 
@@ -395,15 +355,8 @@ def _square_identities(ring, n, m, a, b, anil, bnil, M):
 
 
 def suite_bilinearity_steinberg(config: SuiteConfig, rng) -> list[CaseRecord]:
-    rings = _rings(
-        config,
-        ["F3[e]/(e^2)", "F5[e]/(e^3)", "F2[e]/(e^3)", "Z/9", "Z/25", "Q[e]/(e^2)"],
-    )
-    out = []
-    kinds = ("bilinear-left", "bilinear-right", "alternating", "steinberg")
-    for idx in range(config.cases):
-        ring = rings[idx % len(rings)]
-        kind = kinds[idx % 4]
+    def case(ring, idx):
+        kind = ("bilinear-left", "bilinear-right", "alternating", "steinberg")[idx % 4]
         if kind == "steinberg":
             fd = draw_steinberg_unit(ring, rng)
 
@@ -412,11 +365,11 @@ def suite_bilinearity_steinberg(config: SuiteConfig, rng) -> list[CaseRecord]:
                 return f, contou_carrere(f, LaurentSeries.one(ring) - f)
 
             f, got = with_precision_retry(check, start=24)
-            out.append(
-                _record(idx, {"ring": str(ring), "kind": kind, "f": f.format()},
-                        ring.format_element(ring.one), ring.format_element(got))
+            return (
+                {"ring": str(ring), "kind": kind, "f": f.format()},
+                ring.format_element(ring.one),
+                ring.format_element(got),
             )
-            continue
         fd, gd, hd = (draw_unit(ring, rng) for _ in range(3))
 
         def check(prec):
@@ -434,26 +387,22 @@ def suite_bilinearity_steinberg(config: SuiteConfig, rng) -> list[CaseRecord]:
             ), ring.one
 
         f, g, h, got, want = with_precision_retry(check, start=24)
-        out.append(
-            _record(
-                idx,
-                {"ring": str(ring), "kind": kind, "f": f.format(), "g": g.format(),
-                 "h": h.format()},
-                ring.format_element(want),
-                ring.format_element(got),
-            )
+        return (
+            {"ring": str(ring), "kind": kind, "f": f.format(), "g": g.format(),
+             "h": h.format()},
+            ring.format_element(want),
+            ring.format_element(got),
         )
-    return out
+
+    return _cases(
+        config,
+        ["F3[e]/(e^2)", "F5[e]/(e^3)", "F2[e]/(e^3)", "Z/9", "Z/25", "Q[e]/(e^2)"],
+        case,
+    )
 
 
 def suite_uniformizer_invariance(config: SuiteConfig, rng) -> list[CaseRecord]:
-    rings = _rings(
-        config,
-        ["F3[e]/(e^2)", "F5[e]/(e^3)", "F2[e]/(e^3)", "Q[e]/(e^2)", "F3[x]/(x^3)"],
-    )
-    out = []
-    for idx in range(config.cases):
-        ring = rings[idx % len(rings)]
+    def case(ring, idx):
         fd, gd = draw_unit(ring, rng), draw_unit(ring, rng)
         sigma = draw_uniformizer(ring, rng, prec=64)
         kind = ("symbol", "residue", "kato")[idx % 3]
@@ -483,16 +432,18 @@ def suite_uniformizer_invariance(config: SuiteConfig, rng) -> list[CaseRecord]:
             return kv1.format(), kv2.format()
 
         want, got = with_precision_retry(check, start=20)
-        out.append(
-            _record(
-                idx,
-                {"ring": str(ring), "kind": kind, "f": fd.format(), "g": gd.format(),
-                 "sigma": sigma.truncate(6).format()},
-                want,
-                got,
-            )
+        return (
+            {"ring": str(ring), "kind": kind, "f": fd.format(), "g": gd.format(),
+             "sigma": sigma.truncate(6).format()},
+            want,
+            got,
         )
-    return out
+
+    return _cases(
+        config,
+        ["F3[e]/(e^2)", "F5[e]/(e^3)", "F2[e]/(e^3)", "Q[e]/(e^2)", "F3[x]/(x^3)"],
+        case,
+    )
 
 
 # -- reciprocity on the projective line --------------------------------------
@@ -501,164 +452,101 @@ def suite_uniformizer_invariance(config: SuiteConfig, rng) -> list[CaseRecord]:
 def suite_reciprocity_ar(config: SuiteConfig, rng) -> list[CaseRecord]:
     from .projline import anderson_romo_check
 
-    rings = _rings(
+    def case(ring, idx):
+        f, g = draw_split_pair(ring, rng)
+        try:
+            actual = ring.format_element(anderson_romo_check(f, g).product)
+        except CCSymError as exc:
+            actual = f"error: {exc}"
+        inputs = {"ring": str(ring), "f": f.format(), "g": g.format()}
+        return inputs, ring.format_element(ring.one), actual
+
+    return _cases(
         config,
         ["F3[e]/(e^2)", "F5[e]/(e^2)", "F3[e]/(e^3)", "F7[e]/(e^2)",
          "F2[e]/(e^2)", "Z/4", "Z/9", "Z/25", "Q[e]/(e^2)"],
+        case,
     )
-    out = []
-    for idx in range(config.cases):
-        ring = rings[idx % len(rings)]
-        f, g = draw_split_pair(ring, rng)
-        try:
-            r = anderson_romo_check(f, g)
-            actual = ring.format_element(r.product)
-        except CCSymError as exc:
-            actual = f"error: {exc}"
-        out.append(
-            _record(
-                idx,
-                {"ring": str(ring), "f": f.format(), "g": g.format()},
-                ring.format_element(ring.one),
-                actual,
-            )
-        )
-    return out
 
 
 def suite_weil(config: SuiteConfig, rng) -> list[CaseRecord]:
     from .projline import weil_check
 
-    rings = _rings(config, ["F3", "F5", "F7", "Q"])
-    out = []
-    for idx in range(config.cases):
-        ring = rings[idx % len(rings)]
+    def case(ring, idx):
         f, g = draw_split_pair(ring, rng)
-        r = weil_check(f, g)
-        out.append(
-            _record(
-                idx,
-                {"ring": str(ring), "f": f.format(), "g": g.format()},
-                ring.format_element(ring.one),
-                ring.format_element(r.product),
-            )
-        )
-    return out
+        inputs = {"ring": str(ring), "f": f.format(), "g": g.format()}
+        return inputs, ring.format_element(ring.one), ring.format_element(weil_check(f, g).product)
+
+    return _cases(config, ["F3", "F5", "F7", "Q"], case)
 
 
 def suite_residue_sum(config: SuiteConfig, rng) -> list[CaseRecord]:
     from .projline import GlobalTwoForm, SectionPoint, realize_residues, residue_sum_check
 
-    rings = _rings(
-        config, ["F3[e]/(e^2)", "F2[e]/(e^2)", "F5[e]/(e^3)", "Q[e]/(e^2)"]
-    )
-    out = []
-    for idx in range(config.cases):
-        ring = rings[idx % len(rings)]
+    def case(ring, idx):
         sections = draw_sections(ring, rng, rng.randint(1, 4))
         values = [AOneForm(ring, ring.random_element(rng)) for _ in sections]
+        inputs = {"ring": str(ring), "poles": str([ring.format_element(s) for s in sections])}
         if idx % 2 == 0:
-            omega = GlobalTwoForm.simple_poles(
-                ring, dict(zip(sections, values))
-            )
-            r = residue_sum_check(omega)
-            out.append(
-                _record(
-                    idx,
-                    {"ring": str(ring), "poles": str([ring.format_element(s) for s in sections])},
-                    "0",
-                    r.product.format(),
-                )
-            )
-        else:
-            total = AOneForm.zero(ring)
-            for v in values:
-                total = total + v
-            assignment = {SectionPoint.affine(s): v for s, v in zip(sections, values)}
-            assignment[SectionPoint.infinity()] = -total
-            omega = realize_residues(ring, assignment)
-            ok = all(
-                omega.residue_at_section(pt) == eta for pt, eta in assignment.items()
-            )
-            out.append(
-                _record(
-                    idx,
-                    {"ring": str(ring), "poles": str([ring.format_element(s) for s in sections])},
-                    "roundtrip",
-                    "roundtrip" if ok else "mismatch",
-                )
-            )
-    return out
+            omega = GlobalTwoForm.simple_poles(ring, dict(zip(sections, values)))
+            return inputs, "0", residue_sum_check(omega).product.format()
+        total = AOneForm.zero(ring)
+        for v in values:
+            total = total + v
+        assignment = {SectionPoint.affine(s): v for s, v in zip(sections, values)}
+        assignment[SectionPoint.infinity()] = -total
+        omega = realize_residues(ring, assignment)
+        ok = all(omega.residue_at_section(pt) == eta for pt, eta in assignment.items())
+        return inputs, "roundtrip", "roundtrip" if ok else "mismatch"
+
+    return _cases(config, ["F3[e]/(e^2)", "F2[e]/(e^2)", "F5[e]/(e^3)", "Q[e]/(e^2)"], case)
 
 
 def suite_decompose_roundtrip(config: SuiteConfig, rng) -> list[CaseRecord]:
-    rings = _rings(
-        config,
-        ["F3[e]/(e^2)", "F3[e]/(e^3)", "F5[e]/(e^2)", "F2[e]/(e^3)", "Z/9", "Q[e]/(e^3)"],
-    )
-    out = []
-    for idx in range(config.cases):
-        ring = rings[idx % len(rings)]
+    def case(ring, idx):
         if idx % 2 == 0:
-            d = draw_decomposition(ring, rng, window=6)
+            d = draw_decomposition(ring, rng)
             f = recompose(d, 6 + 6 * ring.nilpotency_index)
             d2 = witt_decompose(f)
             ok = (d2.w, d2.a0, d2.pos, d2.neg) == (d.w, d.a0, d.pos, d.neg)
-            out.append(
-                _record(
-                    idx,
-                    {"ring": str(ring), "f": f.truncate(d.w + 6).format()},
-                    "coordinates recovered",
-                    "coordinates recovered" if ok else repr(d2),
-                )
+            return (
+                {"ring": str(ring), "f": f.truncate(d.w + 6).format()},
+                "coordinates recovered",
+                "coordinates recovered" if ok else repr(d2),
             )
-        else:
-            fd, gd = draw_unit(ring, rng), draw_unit(ring, rng)
-            f, g = fd.series(12), gd.series(12)
-            lhs = (f * g).winding_number()
-            rhs = f.winding_number() + g.winding_number()
-            out.append(
-                _record(
-                    idx,
-                    {"ring": str(ring), "f": f.format(), "g": g.format()},
-                    str(rhs),
-                    str(lhs),
-                )
-            )
-    return out
+        fd, gd = draw_unit(ring, rng), draw_unit(ring, rng)
+        f, g = fd.series(12), gd.series(12)
+        return (
+            {"ring": str(ring), "f": f.format(), "g": g.format()},
+            str(f.winding_number() + g.winding_number()),
+            str((f * g).winding_number()),
+        )
+
+    return _cases(
+        config,
+        ["F3[e]/(e^2)", "F3[e]/(e^3)", "F5[e]/(e^2)", "F2[e]/(e^3)", "Z/9", "Q[e]/(e^3)"],
+        case,
+    )
 
 
 def suite_precision_coherence(config: SuiteConfig, rng) -> list[CaseRecord]:
-    m_level = config.xprec
-    rings = _rings(config, [f"F{p}[x]/(x^{m_level})" for p in (2, 3, 5)])
-    out = []
-    for idx in range(config.cases):
-        ring = rings[idx % len(rings)]
+    def case(ring, idx):
         fd, gd = draw_unit(ring, rng), draw_unit(ring, rng)
         e1, e2 = rng.randint(-2, 2), rng.randint(-2, 2)
 
         def check(prec):
             f = MHatElement(ring, e1, fd.series(prec))
             g = MHatElement(ring, e2, gd.series(prec))
-            kv = kato_residue(f, g)
-            for lower in range(1, ring.order + 1):
-                drop = _level_drop(ring, lower)
-                kv_low = kato_residue(f.map_level(drop), g.map_level(drop))
-                if kv.map_level(drop) != kv_low:
-                    return f"mismatch at level {lower}"
-            return "coherent"
+            return _level_mismatch(kato_residue, f, g, ring.order)
 
-        got = with_precision_retry(check, start=20)
-        out.append(
-            _record(
-                idx,
-                {"ring": str(ring), "f": fd.format(), "g": gd.format(),
-                 "e1": e1, "e2": e2},
-                "coherent",
-                got,
-            )
+        lower = with_precision_retry(check, start=20)
+        return (
+            {"ring": str(ring), "f": fd.format(), "g": gd.format(), "e1": e1, "e2": e2},
+            "coherent",
+            "coherent" if lower is None else f"mismatch at level {lower}",
         )
-    return out
+
+    return _cases(config, [f"F{p}[x]/(x^{config.xprec})" for p in (2, 3, 5)], case)
 
 
 SUITES = {

@@ -25,6 +25,13 @@ def test_verify_reciprocity_example():
     assert "product/sum: 1" in out and out.strip().endswith("PASS")
 
 
+def test_symbol_cc_reads_minus_after_power():
+    # -t^2 means -(t^2) = 4*t^2, not (-t)^2 = t^2, whose symbol with t is 1
+    for f in ("-t^2", "4*t^2"):
+        code, out = run(["symbol", "cc", "--ring", "F5", f"--f={f}", "--g", "t"])
+        assert code == 0 and out.strip() == "4"
+
+
 def test_symbol_tame_and_kato():
     code, out = run(
         ["symbol", "tame", "--ring", "F7", "--f", "(x - 1) * (x - 2)^-1",

@@ -1,5 +1,5 @@
 """Q[e]/(e^m) on integer numerators against a Fraction reference, and the
-parser round trip over every ring kind.
+parser round trip of elements, series and forms over every ring kind.
 
 The reference computes on tuples of Fraction coefficients with schoolbook
 formulas written here, so it shares no code with the integer layout in
@@ -12,9 +12,10 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from ccsym.parsing import parse_element, parse_ring
+from ccsym.forms import OneForm, TwoForm
+from ccsym.parsing import parse_element, parse_form, parse_ring, parse_series
 from ccsym.rings import RationalField, TruncatedPolynomialRing
-from ccsym.series import _kronecker_product
+from ccsym.series import INF, LaurentSeries, _kronecker_product
 
 Q = RationalField()
 QE = {m: TruncatedPolynomialRing(Q, "e", m) for m in range(1, 5)}
@@ -166,7 +167,8 @@ ROUND_TRIP_RINGS = [
 
 def ring_elements(ring):
     if ring.characteristic == 0:
-        scalar = fractions
+        # small integers print as -1, -t^2, -x^2: signs next to powers
+        scalar = st.one_of(st.integers(-2, 2).map(Fraction), fractions)
     else:
         scalar = st.integers(0, ring.characteristic - 1)
     if not isinstance(ring, TruncatedPolynomialRing):
@@ -185,3 +187,36 @@ def ring_elements(ring):
 def test_parse_format_round_trip(data):
     ring, x = data
     assert parse_element(ring, ring.format_element(x)) == x
+
+
+def laurent_series(ring):
+    return st.builds(
+        LaurentSeries,
+        st.just(ring),
+        st.integers(-6, 6),
+        st.lists(ring_elements(ring), max_size=6),
+        st.one_of(st.just(INF), st.integers(-6, 12)),
+    )
+
+
+@given(
+    st.sampled_from(ROUND_TRIP_RINGS).flatmap(
+        lambda spec: st.tuples(laurent_series(parse_ring(spec)), st.sampled_from("tz"))
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_series_parse_format_round_trip(data):
+    s, var = data
+    assert parse_series(s.ring, s.format(var), var=var) == s
+
+
+@given(
+    st.sampled_from([s for s in ROUND_TRIP_RINGS if parse_ring(s).has_section]).flatmap(
+        lambda spec: st.tuples(laurent_series(parse_ring(spec)), laurent_series(parse_ring(spec)))
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_form_parse_format_round_trip(pair):
+    f, g = pair
+    for form in (OneForm(f, g), TwoForm(f)):
+        assert parse_form(f.ring, form.format()) == form

@@ -83,6 +83,23 @@ def test_parse_series():
     assert z.coeff(1) == (1, 0, 0)
 
 
+def test_unary_minus_binds_looser_than_power():
+    F5 = parse_ring("F5")
+    t = parse_series(F5, "t")
+    assert parse_series(F5, "-t^2") == -(t**2) == parse_series(F5, "4*t^2")
+    assert parse_series(F5, "+t^2") == t**2
+    assert parse_series(F5, "(-t)^2") == t**2
+    assert parse_series(F5, "2*-t") == parse_series(F5, "3*t")
+    assert parse_series(F5, "-t^-1") == parse_series(F5, "4*t^-1")
+    Q = parse_ring("Q")
+    assert parse_element(Q, "-2^2") == -4
+    assert parse_element(Q, "--2^2") == 4
+    assert parse_element(Q, "2^-1") == Fraction(1, 2)
+    assert parse_element(Q, "3*-2^3") == -24
+    QE = parse_ring("Q[e]/(e^3)")
+    assert parse_element(QE, "-e^2") == QE.neg(QE.pow(QE.generator(), 2))
+
+
 def test_series_format_parse_roundtrip():
     A = parse_ring("F3[e]/(e^2)")
     for text in ["1-e*t^-1", "t^-2+(1+e)*t", "2*t^3+O(t^5)", "O(t^4)", "0"]:

@@ -90,7 +90,7 @@ def test_coordinates_unique():
     rng = random.Random(1)
     for ring in (A23, TruncatedPolynomialRing(F5, "e", 2)):
         for _ in range(30):
-            d = draw_decomposition(ring, rng, window=6)
+            d = draw_decomposition(ring, rng)
             d2 = witt_decompose(recompose(d))
             assert (d2.w, d2.a0, d2.pos, d2.neg) == (d.w, d.a0, d.pos, d.neg)
 
