@@ -193,15 +193,16 @@ def d_series(f: LaurentSeries) -> OneForm:
 
 def _split_dlog(f: LaurentSeries, cap=None) -> OneForm:
     """dlog f = w*dt/t + dlog c + h^-1*(h' dt + h_e de) - dlog G from the
-    split f = c*t^w*h/G; G = prod (1 - a*t^-d)^-1 over the peeled factors
-    (d, a), so dlog G = sum_k (-d*a^k t^(-dk-1) dt + a_e*a^(k-1) t^(-dk) de)
-    exactly.  Only h is inverted, cut at t^cap (_UnitSplit.h_inverse)."""
+    split f = c*t^w*h/G; G = prod (1 - a*t^-d)^-1 over the split's negative
+    coordinates a = a_{-d}, so dlog G = sum_k (-d*a^k t^(-dk-1) dt +
+    a_e*a^(k-1) t^(-dk) de) exactly.  Only h is inverted, cut at t^cap
+    (_UnitSplit.h_inverse)."""
     ring = f.ring
     _require_section(ring)
     split = _split_unit(f)
     dt = {-1: ring.from_int(split.w)}
     de = {0: ring.mul(ring.inv(split.c), _d_e(ring, split.c))}
-    for d, a in split.raw:
+    for d, a in split.neg.items():
         a_e = _d_e(ring, a)
         for k, power in enumerate(ring.nilpotent_powers(a)):
             if k:
@@ -241,7 +242,7 @@ def dlog2(f: LaurentSeries, g: LaurentSeries) -> TwoForm:
 
         dlog f = w*dt/t + dlog c + h^-1*(h' dt + h_e de) - dlog G,
 
-    with dlog G exact from the peeled factors (_split_dlog).  Only the
+    with dlog G exact from the negative coordinates (_split_dlog).  Only the
     power series h is inverted, so dlog f loses h's precision alone: it is
     known below h.prec - 1 = f.prec - w + ell(G) - 1.  An exact argument's
     h^-1 is cut at max(DEFAULT_PRECISION, 1 - ell(f) - ell(g) - L_f - L_g),

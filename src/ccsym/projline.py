@@ -5,9 +5,11 @@ with A-valued section points s_i.  Local expansions at a section (in the
 coordinate t = x - s, or t = 1/x at infinity) are unit Laurent series,
 so tame and Contou-Carrere symbols and residues of global two-forms can
 be computed per point and multiplied or summed over the full section
-set.  The reciprocity checks require the sections involved to stay
-residue-disjoint; two distinct section values over the same closed point
-raise SectionCollision.
+set.  Both kinds of expansion are sums or products of one chart
+expansion, (x - s)^n at a point (_linear_power).  The reciprocity
+checks require the sections involved to stay residue-disjoint; two
+distinct section values over the same closed point raise
+SectionCollision.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (
 )
 from .forms import AOneForm, TwoForm, res2
 from .rings import Ring
-from .series import INF, LaurentSeries
+from .series import LaurentSeries
 from .symbols import contou_carrere
 
 
@@ -104,24 +106,10 @@ class SplitRationalFunction:
 
     def local_expansion(self, point: SectionPoint, prec: int = 8) -> LaurentSeries:
         """Image in A((t)) at the point, a unit series known to relative prec."""
-        ring = self.ring
-        acc = LaurentSeries.constant(ring, self.constant)
-        shift = 0
-        if point.at_infinity:
-            # t = 1/x: (x - s) = t^-1 (1 - s t)
-            for s, n in self.factors.items():
-                base = LaurentSeries.from_terms(ring, {0: ring.one, 1: ring.neg(s)})
-                acc = acc * _factor_power(base, n, prec)
-                shift -= n
-        else:
-            v = point.value
-            for s, n in self.factors.items():
-                if s == v:
-                    shift += n
-                    continue
-                base = LaurentSeries.from_terms(ring, {0: ring.sub(v, s), 1: ring.one})
-                acc = acc * _factor_power(base, n, prec)
-        return acc.shift(shift)
+        acc = LaurentSeries.constant(self.ring, self.constant)
+        for s, n in self.factors.items():
+            acc = acc * _linear_power(self.ring, s, n, point, prec)
+        return acc
 
     def format(self) -> str:
         ring = self.ring
@@ -139,12 +127,20 @@ class SplitRationalFunction:
         return f"SplitRationalFunction({self.ring}, {self.format()})"
 
 
-def _factor_power(base: LaurentSeries, n: int, rel_prec: int) -> LaurentSeries:
-    if n >= 0:
-        return base**n
-    w = base.winding_number()
-    inv = base.inverse(prec=-w + rel_prec)
-    return inv ** (-n)
+def _linear_power(ring: Ring, s, n: int, point: SectionPoint, rel_prec: int) -> LaurentSeries:
+    """(x - s)^n in the chart at point: t^n at s itself, ((v - s) + t)^n at
+    another section v, and t^-n (1 - s t)^n at infinity (t = 1/x).  A
+    negative power inverts the base to relative precision rel_prec."""
+    if point.at_infinity:
+        terms, shift = {0: ring.one, 1: ring.neg(s)}, -n
+    elif point.value == s:
+        return LaurentSeries.t_power(ring, n)
+    else:
+        terms, shift = {0: ring.sub(point.value, s), 1: ring.one}, 0
+    base = LaurentSeries.from_terms(ring, terms)
+    if n < 0:
+        base, n = base.inverse(prec=rel_prec - base.winding_number()), -n
+    return (base**n).shift(shift)
 
 
 def tame_symbol_at_point(
@@ -269,32 +265,14 @@ class GlobalTwoForm:
         """Expand in t = x - s (or 1/x) including the dx -> dt Jacobian."""
         ring = self.ring
         h = LaurentSeries.zero(ring, prec)
-        if point.at_infinity:
-            # x = 1/t, dx = -t^-2 dt
-            for v, parts in self.poles.items():
-                for k, c in parts.items():
-                    # (x - v)^-k = t^k (1 - v t)^-k
-                    base = LaurentSeries.from_terms(ring, {0: ring.one, 1: ring.neg(v)})
-                    term = _factor_power(base, -k, prec + k + 2).shift(k)
-                    h = h + term.scalar_mul(c.coeff)
-            for j, c in enumerate(self.tail):
-                h = h + LaurentSeries.t_power(ring, -j, c.coeff)
-            jac = LaurentSeries.t_power(ring, -2, ring.neg(ring.one))
-            return TwoForm((h * jac).truncate(prec))
-        v0 = point.value
         for v, parts in self.poles.items():
             for k, c in parts.items():
-                if v == v0:
-                    term = LaurentSeries.t_power(ring, -k)
-                else:
-                    base = LaurentSeries.from_terms(
-                        ring, {0: ring.sub(v0, v), 1: ring.one}
-                    )
-                    term = _factor_power(base, -k, prec + k + 2)
-                h = h + term.scalar_mul(c.coeff)
+                h = h + _linear_power(ring, v, -k, point, prec + k + 2).scalar_mul(c.coeff)
         for j, c in enumerate(self.tail):
-            xj = LaurentSeries.from_terms(ring, {0: v0, 1: ring.one}) ** j
-            h = h + xj.scalar_mul(c.coeff)
+            h = h + _linear_power(ring, ring.zero, j, point, prec).scalar_mul(c.coeff)
+        if point.at_infinity:
+            # x = 1/t, dx = -t^-2 dt
+            h = h * LaurentSeries.t_power(ring, -2, ring.neg(ring.one))
         return TwoForm(h.truncate(prec))
 
     def residue_at_section(self, point: SectionPoint, prec: int = 8) -> AOneForm:

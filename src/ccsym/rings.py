@@ -56,7 +56,7 @@ class Ring:
         raise NotImplementedError
 
     def sub(self, x, y):
-        return self.add(x, self.neg(y))
+        raise NotImplementedError
 
     def neg(self, x):
         raise NotImplementedError
@@ -81,10 +81,7 @@ class Ring:
 
     def dot(self, xs, ys):
         """Sum of pairwise products."""
-        acc = self.zero
-        for x, y in zip(xs, ys):
-            acc = self.add(acc, self.mul(x, y))
-        return acc
+        raise NotImplementedError
 
     def encode(self, xs):
         """(slots, den): the elements xs as integer slots over one denominator.
@@ -101,13 +98,13 @@ class Ring:
     # -- structure -------------------------------------------------------
 
     def is_zero(self, x) -> bool:
-        return x == self.zero
+        raise NotImplementedError
 
     def is_unit(self, x) -> bool:
-        return not self.residue_field.is_zero(self.residue(x))
+        raise NotImplementedError
 
     def is_nilpotent(self, x) -> bool:
-        return self.residue_field.is_zero(self.residue(x))
+        raise NotImplementedError
 
     @property
     def residue_field(self) -> Ring:
@@ -145,10 +142,7 @@ class Ring:
         raise NotImplementedError
 
     def random_unit(self, rng):
-        x = self.random_element(rng)
-        while not self.is_unit(x):
-            x = self.random_element(rng)
-        return x
+        raise NotImplementedError
 
     def random_nilpotent(self, rng):
         raise NotImplementedError

@@ -11,9 +11,12 @@ coefficient vectors are packed into integers, multiplied once, unpacked.
 
 A unit splits once as f = c * t^w * h / G, h in A[[t]] and G the exact
 product of the geometric inverses of the peeled nilpotent negative tail;
-inverse and unit coordinates are read from this split, which the series
-keeps.  h is known below (f.prec - w) + ell(G): one product with G, not
-one loss per peeled factor.
+inverse, dlog and unit coordinates are read from this split, which the
+series keeps.  h is known below (f.prec - w) + ell(G): one product with
+G, not one loss per peeled factor.  The split also owns the canonical
+negative coordinates a_{-i} of B = 1/G = prod (1 - a_{-i} t^-i), read
+once off B by the peeling recurrence (_peel) that the positive
+coordinates use too.
 """
 
 from __future__ import annotations
@@ -374,12 +377,13 @@ def _geometric_inverse(ring: Ring, d: int, a) -> LaurentSeries:
 
 
 class _UnitSplit(NamedTuple):
-    """f = c * t^w * h / G; ``raw`` lists the peeled factors (1 - a*t^-d) as
-    (d, a), ``geom`` is G, and h is known below (f.prec - w) + ell(G)."""
+    """f = c * t^w * h / G; ``neg`` maps i to the canonical a_{-i} of
+    1/G = prod (1 - a_{-i} t^-i), ``geom`` is G, and h is known below
+    (f.prec - w) + ell(G)."""
 
     w: int
     c: object
-    raw: list
+    neg: dict
     geom: LaurentSeries
     h: LaurentSeries
 
@@ -404,6 +408,16 @@ def _split_unit(f: LaurentSeries) -> _UnitSplit:
     f*t^-w/c), pushing the rest into higher powers of the maximal ideal,
     so the loop ends (m^e = 0).  Only that part of h0*G is formed per
     step; h = h0*G is formed once.  Raises when f is too short to fix G.
+
+    B = 1/G is kept exactly alongside G, one factor (1 - a*t^d) per step.
+    B is a polynomial of degree D = depth(B) in s = t^-1 whose coefficients
+    v[k], k > 0, lie in the maximal ideal m, hence in m^ceil(k/D).  Dividing
+    by (1 - a_i s^i), a_i = -v[i], keeps that: the new v[k] sums
+    a_i^j * v[k-ji], in m^(j*ceil(i/D) + ceil((k-ji)/D)), inside m^ceil(k/D).
+    So a_{-i} lies in m^ceil(i/D) and vanishes for i > (e-1)*D, e the
+    nilpotency index.  Peeling e*D+1 slots reads every coordinate, and the
+    last D slots must peel to nothing.
+
     The split is kept on f, which is immutable, so every later caller
     reads the same one; a split that raised is tried afresh next time.
     """
@@ -413,8 +427,7 @@ def _split_unit(f: LaurentSeries) -> _UnitSplit:
     w = f.winding_number()
     c = f.coeff(w)
     h0 = f.shift(-w).scalar_mul(ring.inv(c))
-    raw = []
-    geom = LaurentSeries.one(ring)
+    geom = B = LaurentSeries.one(ring)
     tail = h0.truncate(0)
     budget = 64 + 16 * ring.nilpotency_index * (1 + max(0, -h0.ell))
     while tail.coeffs:
@@ -423,13 +436,36 @@ def _split_unit(f: LaurentSeries) -> _UnitSplit:
             raise InvariantViolation("negative-tail peeling did not terminate")
         d = tail.ell
         a = ring.neg(tail.coeff(d))
-        raw.append((-d, a))
+        B = B - B.scalar_mul(a).shift(d)
         geom = geom * _geometric_inverse(ring, d, a)
         tail = h0.truncate(-geom.ell) * geom
     if tail.prec < 0:
         raise IndeterminateAtPrecision(f"negative tail of {f} not determined")
-    f._split = _UnitSplit(w, c, tuple(raw), geom, h0 * geom if raw else h0)
+    depth, e = -B.ell, ring.nilpotency_index
+    neg = _peel(ring, [B.coeff(-k) for k in range(e * depth + 1)])
+    if max(neg, default=0) > (e - 1) * depth:
+        raise InvariantViolation(f"negative coordinate of {B} beyond index {(e - 1) * depth}")
+    f._split = _UnitSplit(w, c, neg, geom, h0 * geom if neg else h0)
     return f._split
+
+
+def _peel(ring: Ring, v: list) -> dict:
+    """Coordinates {i: a_i} of v = prod_{i>0} (1 - a_i s^i) mod s^len(v), v[0] = 1.
+
+    Once the factors below i are divided out, v = 1 - a_i s^i + O(s^(i+1));
+    dividing by (1 - a_i s^i) is v[k] += a_i * v[k-i], in place and upwards.
+    It clears v[i] and leaves v[i+1..2i-1] as they are, since v[1..i-1] = 0.
+    """
+    coords = {}
+    for i in range(1, len(v)):
+        a = ring.neg(v[i])
+        if ring.is_zero(a):
+            continue
+        coords[i] = a
+        v[i] = ring.zero
+        for k in range(2 * i, len(v)):
+            v[k] = ring.add(v[k], ring.mul(a, v[k - i]))
+    return coords
 
 
 def _unit_power_series_inverse(g: LaurentSeries, n: int) -> LaurentSeries:

@@ -5,7 +5,8 @@ it parses the rings once, and for each case index idx < cases calls the
 body on ring idx mod #rings.  The body draws from the suite's one seeded
 generator, checks an exact identity and returns (inputs, expected,
 actual), and the case passes when expected == actual.  Failures carry
-full reproduction data (seed, case index, serialized inputs).  Text
+full reproduction data (seed, case index, serialized inputs).  run_suite
+rejects a cases, exponent_bound or xprec below 1 before any draw.  Text
 reports contain no timing and are byte-identical under a fixed seed;
 JSON reports add elapsed_ms.  The cases share the generator, so they run
 in index order and each draws after every case before it.
@@ -269,7 +270,8 @@ def _square_case_level(ring, rng):
     try:
         f, g, lower = with_precision_retry(check, start=16)
     except IdentityViolated as exc:
-        return {"ring": str(ring), "f": fd.format(), "g": gd.format()}, want, str(exc)
+        inputs = {"ring": str(ring), "f": fd.format(), "g": gd.format(), "e1": e1, "e2": e2}
+        return inputs, want, str(exc)
     actual = want if lower is None else f"level {ring.order} -> {lower} truncation mismatch"
     return {"ring": str(ring), "f": f.format(), "g": g.format()}, want, actual
 
@@ -568,6 +570,9 @@ def run_suite(config: SuiteConfig) -> Report:
         raise CCSymError(
             f"unknown suite {config.suite!r}; available: {', '.join(sorted(SUITES))}"
         )
+    for field in ("cases", "exponent_bound", "xprec"):
+        if getattr(config, field) < 1:
+            raise CCSymError(f"{field} must be at least 1, got {getattr(config, field)}")
     rng = random.Random(config.seed)
     started = time.monotonic()
     cases = SUITES[config.suite](config, rng)

@@ -5,11 +5,11 @@ Every unit f of A((t)) factors uniquely as
     f = a0 * t^w * prod_{i>0} (1 - a_i t^i) * prod_{i>0} (1 - a_{-i} t^{-i})
 
 with a0 a unit, the negative coordinates nilpotent and almost all zero.
-All coordinates come from one split f = c * t^w * h / G (series.py) and
-one peeling recurrence (_peel): the positive ones are read off h/h(0)
-in t, the negative ones off the exact product of the peeled factors in
-t^-1.  The Contou-Carrere symbol splits each argument once and is a
-finite product of coordinates: nilpotency truncates the pairing terms,
+All coordinates come from one split f = c * t^w * h / G (series.py),
+which the series keeps: the negative ones are read once, off 1/G in
+t^-1, when the split is made; the positive ones are read off h/h(0) in
+t by the same peeling recurrence (_peel).  The Contou-Carrere symbol is
+a finite product of coordinates: nilpotency truncates the pairing terms,
 and the negative coordinates fix the windows (required_precision)
 instead of ever truncating an answer: the term of a_i against b_{-j} is
 1 once i/gcd(i, j) >= n_j (the least n with b_{-j}^n = 0), hence for
@@ -26,13 +26,12 @@ from math import gcd
 from .errors import (
     IndeterminateAtPrecision,
     InsufficientPrecision,
-    InvariantViolation,
     MixedFields,
     MixedRings,
     NonUnit,
 )
 from .rings import Ring, RingMap
-from .series import DEFAULT_PRECISION, INF, LaurentSeries, _split_unit, _UnitSplit
+from .series import DEFAULT_PRECISION, INF, LaurentSeries, _peel, _split_unit
 
 
 class UnitDecomposition:
@@ -73,73 +72,25 @@ class UnitDecomposition:
         )
 
 
-def _peel(ring: Ring, v: list) -> dict:
-    """Coordinates {i: a_i} of v = prod_{i>0} (1 - a_i s^i) mod s^len(v), v[0] = 1.
-
-    Once the factors below i are divided out, v = 1 - a_i s^i + O(s^(i+1));
-    dividing by (1 - a_i s^i) is v[k] += a_i * v[k-i], in place and upwards.
-    It clears v[i] and leaves v[i+1..2i-1] as they are, since v[1..i-1] = 0.
-    """
-    coords = {}
-    for i in range(1, len(v)):
-        a = ring.neg(v[i])
-        if ring.is_zero(a):
-            continue
-        coords[i] = a
-        v[i] = ring.zero
-        for k in range(2 * i, len(v)):
-            v[k] = ring.add(v[k], ring.mul(a, v[k - i]))
-    return coords
-
-
-def _canonical_negative(ring: Ring, raw) -> dict:
-    """The canonical a_{-i} of B = prod (1 - a t^-d) over the peeled factors.
-
-    B is a polynomial of degree D = depth(B) in s = t^-1 whose coefficients
-    v[k], k > 0, lie in the maximal ideal m, hence in m^ceil(k/D).  Dividing
-    by (1 - a_i s^i), a_i = -v[i], keeps that: the new v[k] sums
-    a_i^j * v[k-ji], in m^(j*ceil(i/D) + ceil((k-ji)/D)), inside m^ceil(k/D).
-    So a_{-i} lies in m^ceil(i/D) and vanishes for i > (e-1)*D, e the
-    nilpotency index.  Peeling e*D+1 slots reads every coordinate, and the
-    last D slots must peel to nothing.
-    """
-    B = LaurentSeries.one(ring)
-    for d, a in raw:
-        B = B * LaurentSeries.from_terms(ring, {0: ring.one, -d: ring.neg(a)})
-    depth = -B.ell
-    e = ring.nilpotency_index
-    neg = _peel(ring, [B.coeff(-k) for k in range(e * depth + 1)])
-    if max(neg, default=0) > (e - 1) * depth:
-        raise InvariantViolation(f"negative coordinate of {B} beyond index {(e - 1) * depth}")
-    return neg
-
-
-def _split(f: LaurentSeries):
-    """The negative-tail split of f and its canonical negative coordinates."""
-    split = _split_unit(f)
-    return split, _canonical_negative(f.ring, split.raw)
-
-
 def witt_decompose(f: LaurentSeries, prec=None) -> UnitDecomposition:
     """Winding number and coordinates of a unit f, uniquely determined by f.
 
     ``prec`` requests the positive-coordinate window; it defaults to the
     relative precision of f (capped for exact inputs).  The achieved
-    window is recorded on the result, never exceeded silently.
+    window is recorded on the result, never exceeded silently.  The
+    negative coordinates are the split's, copied since the split is kept.
     """
-    split, neg = _split(f)
-    return _coordinates(split, neg, f.prec - split.w if prec is None else prec)
-
-
-def _coordinates(split: _UnitSplit, neg: dict, prec) -> UnitDecomposition:
-    """Peel the positive coordinates off h below ``prec``."""
+    split = _split_unit(f)
     h = split.h
     ring = h.ring
     u0 = h.coeff(0)
     a0 = ring.mul(split.c, u0)
+    neg = dict(split.neg)
     if h.prec == INF and len(h.coeffs) <= 1:
         # pure monomial times negative tail: every positive coordinate is zero
         return UnitDecomposition(ring, split.w, a0, {}, neg, INF)
+    if prec is None:
+        prec = f.prec - split.w
     # scale only the window by u0^-1, not all of h
     avail = int(min(h.prec, prec if prec != INF else DEFAULT_PRECISION))
     inv_u0 = ring.inv(u0)
@@ -189,23 +140,21 @@ def required_precision(f: LaurentSeries, g: LaurentSeries) -> tuple[int, int]:
     """
     if f.ring != g.ring:
         raise MixedRings(f"cannot pair series over {f.ring} and {g.ring}")
-    return _window(f.ring, _split(g)[1]), _window(f.ring, _split(f)[1])
+    neg_f, neg_g = _split_unit(f).neg, _split_unit(g).neg
+    return _window(f.ring, neg_g), _window(f.ring, neg_f)
 
 
 def contou_carrere(f: LaurentSeries, g: LaurentSeries):
     """The A*-valued pairing <f, g> evaluated exactly from coordinates.
 
-    Equals the tame symbol at t = 0 when A is a field.  Each argument is
-    split once; its negative coordinates fix the other's window
-    (required_precision) and its own coordinates come from the same
-    split.  Raises InsufficientPrecision when the inputs do not determine
-    every contributing coordinate.
+    Equals the tame symbol at t = 0 when A is a field.  Each argument's
+    negative coordinates, kept on its split, fix the other's window
+    (required_precision) and its positive coordinates are read off the
+    same split.  Raises InsufficientPrecision when the inputs do not
+    determine every contributing coordinate.
     """
-    if f.ring != g.ring:
-        raise MixedRings(f"cannot pair series over {f.ring} and {g.ring}")
-    (sf, neg_f), (sg, neg_g) = _split(f), _split(g)
-    req_f, req_g = _window(f.ring, neg_g), _window(f.ring, neg_f)
-    df, dg = _coordinates(sf, neg_f, req_f), _coordinates(sg, neg_g, req_g)
+    req_f, req_g = required_precision(f, g)
+    df, dg = witt_decompose(f, req_f), witt_decompose(g, req_g)
     if df.prec < req_f or dg.prec < req_g:
         raise InsufficientPrecision(
             f"need coordinate windows {req_f}/{req_g}, have {df.prec}/{dg.prec}"

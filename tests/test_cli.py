@@ -142,6 +142,21 @@ def test_suite_json_schema():
         assert case["pass"] is True
 
 
+def test_suite_parameters_below_one_exit_code(capsys):
+    for args, field in (
+        (["lemma34", "--exponent-bound", "0"], "exponent_bound"),
+        (["lemma35", "--exponent-bound", "0"], "exponent_bound"),
+        (["dlog-square", "--exponent-bound", "0"], "exponent_bound"),
+        (["weil", "--cases", "0"], "cases"),
+        (["weil", "--cases", "-5"], "cases"),
+        (["precision-coherence", "--xprec", "0"], "xprec"),
+    ):
+        code, out = run(["suite", *args])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and field in err and "Traceback" not in err
+
+
 def test_suite_report_file(tmp_path):
     target = tmp_path / "report.json"
     code, out = run(

@@ -28,6 +28,7 @@ F5 = PrimeField(5)
 Q = RationalField()
 A2 = TruncatedPolynomialRing(F3, "e", 2)
 A3 = TruncatedPolynomialRing(F3, "e", 3)
+QE2 = TruncatedPolynomialRing(Q, "e", 2)
 QE3 = TruncatedPolynomialRing(Q, "e", 3)
 Z25 = IntegersModPrimePower(5, 2)
 EPS = A2.generator()
@@ -149,6 +150,9 @@ def test_ring_maps_commute_with_operations():
         epsilon_map(A3, A3, A3.mul(A3.from_int(2), A3.generator())),
         epsilon_map(A3, A2, EPS),
         truncation_map(Z25, 1),
+        epsilon_map(QE3, QE3, QE3.mul(QE3.from_int(2), QE3.generator())),
+        epsilon_map(QE3, QE2, QE2.generator()),
+        epsilon_map(QE3, Q, Q.zero),
     ]
     for h in maps:
         ring = h.source

@@ -9,7 +9,7 @@ from ccsym.errors import (
     NotAUniformizer,
 )
 from ccsym.rings import PrimeField, TruncatedPolynomialRing, residue_map
-from ccsym.parsing import parse_ring, parse_series
+from ccsym.parsing import parse_element, parse_ring, parse_series
 from ccsym.series import INF, LaurentSeries, _geometric_inverse, _split_unit
 
 F3 = PrimeField(3)
@@ -104,7 +104,8 @@ def test_inverse_after_deep_split():
     ring = parse_ring("F3[e]/(e^3)")
     f = parse_series(ring, "1 - e*t^-2 + e*t^-1 + t + 2*t^3 + O(t^10)")
     split = _split_unit(f)
-    assert sum(d for d, _ in split.raw) == 9 and split.geom.ell == -4
+    neg = {i: parse_element(ring, a) for i, a in {1: "e+e^2", 2: "e+2*e^2", 3: "e^2"}.items()}
+    assert split.neg == neg and split.geom.ell == -4
     h_prec = f.prec - split.w + split.geom.ell
     assert split.h.prec == h_prec == 6
     inv = f.inverse()

@@ -8,10 +8,14 @@ digest; a change that means to do so updates it and says why.
 
 import hashlib
 import json
+import random
 
 import pytest
 
+import ccsym.suites
+from ccsym.errors import CCSymError, IdentityViolated
 from ccsym.parsing import parse_mhat, parse_ring
+from ccsym.randgen import draw_unit
 from ccsym.suites import SUITES, SuiteConfig, _level_mismatch, run_suite
 from ccsym.symbols import kato_residue
 
@@ -56,3 +60,28 @@ def test_level_mismatch_names_the_first_bad_level():
     assert _level_mismatch(swapped_at(2), f, g, 3) == 2
     assert _level_mismatch(swapped_at(1), f, g, 3) == 1
     assert _level_mismatch(swapped_at(3), f, g, 2) == 1
+
+
+@pytest.mark.parametrize("field", ["cases", "exponent_bound", "xprec"])
+def test_parameters_below_one_are_rejected(field):
+    for value in (0, -5):
+        with pytest.raises(CCSymError, match=field):
+            run_suite(SuiteConfig(suite="weil", **{field: value}))
+
+
+def test_level_square_violation_keeps_the_exponents(monkeypatch):
+    def violated(f, g):
+        raise IdentityViolated("forced violation", None, None)
+
+    monkeypatch.setattr(ccsym.suites, "log_square_check", violated)
+    spec = "F3[x]/(x^2)"
+    report = run_suite(
+        SuiteConfig(suite="dlog-square", rings=(spec,), cases=1, seed=1, exponent_bound=1)
+    )
+    case = report.cases[0]
+    assert not case.passed and case.actual == "forced violation"
+    # the record alone replays the case: the same draws give the same inputs
+    rng, ring = random.Random(1), parse_ring(spec)
+    fd, gd = draw_unit(ring, rng), draw_unit(ring, rng)
+    e1, e2 = rng.randint(-2, 2), rng.randint(-2, 2)
+    assert case.inputs == {"ring": spec, "f": fd.format(), "g": gd.format(), "e1": e1, "e2": e2}
