@@ -192,26 +192,30 @@ def d_series(f: LaurentSeries) -> OneForm:
 
 
 def _split_dlog(f: LaurentSeries, cap=None) -> OneForm:
-    """dlog f = w*dt/t + dlog c + h^-1*(h' dt + h_e de) - dlog G from the
-    split f = c*t^w*h/G; G = prod (1 - a*t^-d)^-1 over the split's negative
-    coordinates a = a_{-d}, so dlog G = sum_k (-d*a^k t^(-dk-1) dt +
-    a_e*a^(k-1) t^(-dk) de) exactly.  Only h is inverted, cut at t^cap
-    (_UnitSplit.h_inverse)."""
+    """dlog f = w*dt/t + dlog c + h^-1*(h' dt + (h_e - dlog(c)*h) de) - dlog G
+    from the split f = t^w*h/G, c = f(w); G = prod (1 - a*t^-d)^-1 over the
+    split's negative coordinates a = a_{-d}, so dlog G = sum_k (-d*a^k
+    t^(-dk-1) dt + a_e*a^(k-1) t^(-dk) de) exactly.  Only h is inverted, cut
+    at t^cap (_UnitSplit.h_inverse); h_e - dlog(c)*h = c*(h/c)_e starts where
+    h/c - 1 does, so its product with that cut inverse is known further."""
     ring = f.ring
     _require_section(ring)
     split = _split_unit(f)
+    h, c = split.h, f.coeff(split.w)
+    dlog_c = ring.mul(ring.inv(c), _d_e(ring, c))
     dt = {-1: ring.from_int(split.w)}
-    de = {0: ring.mul(ring.inv(split.c), _d_e(ring, split.c))}
+    de = {0: dlog_c}
     for d, a in split.neg.items():
         a_e = _d_e(ring, a)
         for k, power in enumerate(ring.nilpotent_powers(a)):
             if k:
                 dt[-d * k - 1] = ring.add(dt.get(-d * k - 1, ring.zero), ring.mul(ring.from_int(d), power))
             de[-d * k - d] = ring.sub(de.get(-d * k - d, ring.zero), ring.mul(a_e, power))
-    inv_h, dh = split.h_inverse(cap), d_series(split.h)
+    inv_h, dh = split.h_inverse(cap), d_series(h)
+    h_e = dh.de if ring.is_zero(dlog_c) else dh.de + h.scalar_mul(ring.neg(dlog_c))
     return OneForm(
         LaurentSeries.from_terms(ring, dt) + inv_h * dh.dt,
-        LaurentSeries.from_terms(ring, de) + inv_h * dh.de,
+        LaurentSeries.from_terms(ring, de) + inv_h * h_e,
     )
 
 
@@ -238,9 +242,9 @@ def wedge(alpha: OneForm, beta: OneForm) -> TwoForm:
 def dlog2(f: LaurentSeries, g: LaurentSeries) -> TwoForm:
     """dlog(f) ^ dlog(g) for unit series f, g.
 
-    Each argument is read off its split f = c*t^w*h/G:
+    Each argument is read off its split f = t^w*h/G, c = f(w):
 
-        dlog f = w*dt/t + dlog c + h^-1*(h' dt + h_e de) - dlog G,
+        dlog f = w*dt/t + dlog c + h^-1*(h' dt + (h_e - dlog(c)*h) de) - dlog G,
 
     with dlog G exact from the negative coordinates (_split_dlog).  Only the
     power series h is inverted, so dlog f loses h's precision alone: it is

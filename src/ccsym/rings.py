@@ -469,19 +469,20 @@ class TruncatedPolynomialRing(Ring):
         return x[:-1] + (0,)
 
     def add(self, x, y):
-        base = self.base
-        return tuple(map(base.add, x, y))
+        p = self.characteristic
+        return tuple([(a + b) % p for a, b in zip(x, y)])
 
     def sub(self, x, y):
-        base = self.base
-        return tuple(map(base.sub, x, y))
+        p = self.characteristic
+        return tuple([(a - b) % p for a, b in zip(x, y)])
 
     def neg(self, x):
-        return tuple(map(self.base.neg, x))
+        p = self.characteristic
+        return tuple([-a % p for a in x])
 
     def mul(self, x, y):
         p = self.characteristic
-        return tuple(a % p for a in _truncated_product(x, y, self.order))
+        return tuple([a % p for a in _truncated_product(x, y, self.order)])
 
     def dot(self, xs, ys):
         m = self.order

@@ -6,17 +6,20 @@ everything below N outside the stored window is exactly zero.  Exact
 data (Laurent polynomials) carry infinite precision.  All operations
 propagate the best sound precision and raise IndeterminateAtPrecision
 rather than answer from unknown coefficients.  A product of two windows
-longer than one coefficient is one Kronecker substitution: both
-coefficient vectors are packed into integers, multiplied once, unpacked.
+longer than one coefficient is convolved over their nonzero coefficients
+when both are sparse (SPARSE_PRODUCT_RATIO), and is otherwise one
+Kronecker substitution: both coefficient vectors are packed into
+integers, multiplied once, unpacked.
 
-A unit splits once as f = c * t^w * h / G, h in A[[t]] and G the exact
-product of the geometric inverses of the peeled nilpotent negative tail;
-inverse, dlog and unit coordinates are read from this split, which the
-series keeps.  h is known below (f.prec - w) + ell(G): one product with
-G, not one loss per peeled factor.  The split also owns the canonical
-negative coordinates a_{-i} of B = 1/G = prod (1 - a_{-i} t^-i), read
-once off B by the peeling recurrence (_peel) that the positive
-coordinates use too.
+A unit splits once as f = t^w * h / G, h in A[[t]] with unit constant
+term and G the exact product of the geometric inverses of the peeled
+nilpotent negative tail; inverse, dlog and unit coordinates are read
+from this split, which the series keeps.  h is known below
+(f.prec - w) + ell(G): one product with G, not one loss per peeled
+factor.  The split also owns the canonical negative coordinates a_{-i}
+of B = 1/G = prod (1 - a_{-i} t^-i), read once off B by the peeling
+recurrence (_peel) that the positive coordinates use too.  Neither the
+split nor the peel scales a series by its leading constant.
 """
 
 from __future__ import annotations
@@ -38,6 +41,11 @@ INF = float("inf")
 #: did not request a precision; results still carry their explicit O(t^N).
 DEFAULT_PRECISION = 24
 
+#: windows a, b with nnz(a)*nnz(b) <= ratio * (len(a) + len(b)) multiply over
+#: their supports, one ring mul and add per nonzero pair; longer or denser ones
+#: pack into one Kronecker product, whose cost is Python work per slot, zero or not
+SPARSE_PRODUCT_RATIO = 1
+
 
 class LaurentSeries:
     """An element of A((t)) known modulo O(t^prec)."""
@@ -45,17 +53,19 @@ class LaurentSeries:
     __slots__ = ("ring", "ell", "coeffs", "prec", "_split")
 
     def __init__(self, ring: Ring, ell: int, coeffs, prec=INF):
-        coeffs = list(coeffs)
+        if not isinstance(coeffs, (tuple, list)):
+            coeffs = list(coeffs)
         if prec != INF:
             prec = int(prec)
             keep = prec - ell
             if keep < len(coeffs):
                 coeffs = coeffs[: max(keep, 0)]
+        zero = ring.zero  # elements are canonical: zero is one value
         lead = 0
-        while lead < len(coeffs) and ring.is_zero(coeffs[lead]):
+        while lead < len(coeffs) and coeffs[lead] == zero:
             lead += 1
         tail = len(coeffs)
-        while tail > lead and ring.is_zero(coeffs[tail - 1]):
+        while tail > lead and coeffs[tail - 1] == zero:
             tail -= 1
         self.ring = ring
         self.prec = prec
@@ -162,12 +172,17 @@ class LaurentSeries:
         if length <= 0:
             return LaurentSeries(ring, lo, (), prec)
         a, b = self.coeffs[:length], other.coeffs[:length]
+        zero, mul = ring.zero, ring.mul  # elements are canonical: zero is one value
         if len(a) == 1:
-            out = [ring.mul(a[0], y) for y in b]
+            out = [zero if y == zero else mul(a[0], y) for y in b]
         elif len(b) == 1:
-            out = [ring.mul(x, b[0]) for x in a]
+            out = [zero if x == zero else mul(x, b[0]) for x in a]
         else:
-            out = _kronecker_product(ring, a, b, length)
+            nnz_a, nnz_b = len(a) - a.count(zero), len(b) - b.count(zero)
+            if nnz_a * nnz_b <= SPARSE_PRODUCT_RATIO * (len(a) + len(b)):
+                out = _sparse_product(ring, a, b, length)
+            else:
+                out = _kronecker_product(ring, a, b, length)
         return LaurentSeries(ring, lo, out, prec)
 
     def scalar_mul(self, c) -> LaurentSeries:
@@ -230,7 +245,7 @@ class LaurentSeries:
     def inverse(self, prec=None) -> LaurentSeries:
         """Multiplicative inverse, exact up to the propagated precision.
 
-        Splits f = c*t^w*h/G and returns c^-1 * t^-w * h^-1 * G, with
+        Splits f = t^w*h/G and returns t^-w * h^-1 * G, with
         the power series h inverted by back-substitution.  ``prec`` caps
         both the expansion of h^-1 and the result.
         """
@@ -377,12 +392,12 @@ def _geometric_inverse(ring: Ring, d: int, a) -> LaurentSeries:
 
 
 class _UnitSplit(NamedTuple):
-    """f = c * t^w * h / G; ``neg`` maps i to the canonical a_{-i} of
-    1/G = prod (1 - a_{-i} t^-i), ``geom`` is G, and h is known below
+    """f = t^w * h / G; ``neg`` maps i to the canonical a_{-i} of
+    1/G = prod (1 - a_{-i} t^-i), ``geom`` is G, and h, whose constant
+    term is the unit a0 of the coordinates, is known below
     (f.prec - w) + ell(G)."""
 
     w: int
-    c: object
     neg: dict
     geom: LaurentSeries
     h: LaurentSeries
@@ -396,18 +411,19 @@ class _UnitSplit(NamedTuple):
         return _unit_power_series_inverse(h, DEFAULT_PRECISION if prec == INF else int(prec))
 
     def inverse(self, cap=None) -> LaurentSeries:
-        """f^-1 = c^-1 * t^-w * h^-1 * G, known below (h^-1 window) + ell(G) - w."""
-        inv_h = self.h_inverse(cap)
-        return (inv_h * self.geom).shift(-self.w).scalar_mul(inv_h.ring.inv(self.c))
+        """f^-1 = t^-w * h^-1 * G, known below (h^-1 window) + ell(G) - w."""
+        return (self.h_inverse(cap) * self.geom).shift(-self.w)
 
 
 def _split_unit(f: LaurentSeries) -> _UnitSplit:
     """Peel the nilpotent negative tail off a unit f (see _UnitSplit).
 
     Each step clears the deepest coefficient of h0*G below t^0 (h0 =
-    f*t^-w/c), pushing the rest into higher powers of the maximal ideal,
-    so the loop ends (m^e = 0).  Only that part of h0*G is formed per
-    step; h = h0*G is formed once.  Raises when f is too short to fix G.
+    f*t^-w, whose constant term c is a unit), pushing the rest into higher
+    powers of the maximal ideal, so the loop ends (m^e = 0).  The peeled
+    factor at depth d is 1 - a*t^d with a = -c^-1 * (h0*G)_d, so h0 itself
+    is never scaled.  Only that part of h0*G is formed per step; h = h0*G
+    is formed once.  Raises when f is too short to fix G.
 
     B = 1/G is kept exactly alongside G, one factor (1 - a*t^d) per step.
     B is a polynomial of degree D = depth(B) in s = t^-1 whose coefficients
@@ -425,8 +441,8 @@ def _split_unit(f: LaurentSeries) -> _UnitSplit:
         return f._split
     ring = f.ring
     w = f.winding_number()
-    c = f.coeff(w)
-    h0 = f.shift(-w).scalar_mul(ring.inv(c))
+    h0 = f.shift(-w)
+    c_inv = ring.inv(h0.coeff(0))
     geom = B = LaurentSeries.one(ring)
     tail = h0.truncate(0)
     budget = 64 + 16 * ring.nilpotency_index * (1 + max(0, -h0.ell))
@@ -435,36 +451,44 @@ def _split_unit(f: LaurentSeries) -> _UnitSplit:
         if budget < 0:
             raise InvariantViolation("negative-tail peeling did not terminate")
         d = tail.ell
-        a = ring.neg(tail.coeff(d))
+        a = ring.neg(ring.mul(c_inv, tail.coeff(d)))
         B = B - B.scalar_mul(a).shift(d)
         geom = geom * _geometric_inverse(ring, d, a)
         tail = h0.truncate(-geom.ell) * geom
     if tail.prec < 0:
         raise IndeterminateAtPrecision(f"negative tail of {f} not determined")
     depth, e = -B.ell, ring.nilpotency_index
-    neg = _peel(ring, [B.coeff(-k) for k in range(e * depth + 1)])
+    # B runs from t^-depth up to its constant 1: reversed, it is B in s = t^-1
+    neg = _peel(ring, [*B.coeffs[::-1], *[ring.zero] * ((e - 1) * depth)])
     if max(neg, default=0) > (e - 1) * depth:
         raise InvariantViolation(f"negative coordinate of {B} beyond index {(e - 1) * depth}")
-    f._split = _UnitSplit(w, c, neg, geom, h0 * geom if neg else h0)
+    f._split = _UnitSplit(w, neg, geom, h0 * geom if neg else h0)
     return f._split
 
 
 def _peel(ring: Ring, v: list) -> dict:
-    """Coordinates {i: a_i} of v = prod_{i>0} (1 - a_i s^i) mod s^len(v), v[0] = 1.
+    """Coordinates {i: a_i} of v = v[0] * prod_{i>0} (1 - a_i s^i) mod s^len(v).
 
-    Once the factors below i are divided out, v = 1 - a_i s^i + O(s^(i+1));
-    dividing by (1 - a_i s^i) is v[k] += a_i * v[k-i], in place and upwards.
-    It clears v[i] and leaves v[i+1..2i-1] as they are, since v[1..i-1] = 0.
+    Once the factors below i are divided out, v = v[0]*(1 - a_i s^i) +
+    O(s^(i+1)), so a_i = -v[i]/v[0]; dividing by (1 - a_i s^i) is v[k] +=
+    a_i * v[k-i], in place and upwards.  It clears v[i] and leaves
+    v[i+1..2i-1] as they are, since v[1..i-1] = 0.  Zero slots cost a
+    comparison only: no coordinate is read off them and no update adds them.
     """
     coords = {}
+    if len(v) < 2:
+        return coords
+    zero, add, mul = ring.zero, ring.add, ring.mul
+    u = ring.neg(ring.inv(v[0]))
     for i in range(1, len(v)):
-        a = ring.neg(v[i])
-        if ring.is_zero(a):
+        if v[i] == zero:
             continue
-        coords[i] = a
-        v[i] = ring.zero
+        a = coords[i] = mul(u, v[i])
+        v[i] = zero
         for k in range(2 * i, len(v)):
-            v[k] = ring.add(v[k], ring.mul(a, v[k - i]))
+            x = v[k - i]
+            if x != zero:
+                v[k] = add(v[k], mul(a, x))
     return coords
 
 
@@ -489,6 +513,21 @@ def _unit_power_series_inverse(g: LaurentSeries, n: int) -> LaurentSeries:
             used += 1
         out.append(ring.dot(ratios[:used], [out[k - j] for j in support[:used]]))
     return LaurentSeries(ring, 0, out, n)
+
+
+def _sparse_product(ring: Ring, a, b, length: int) -> list:
+    """The first ``length`` coefficients of (sum a_i t^i) * (sum b_j t^j),
+    convolved over the nonzero a_i and b_j only (see SPARSE_PRODUCT_RATIO)."""
+    zero, add, mul = ring.zero, ring.add, ring.mul
+    sb = [(j, y) for j, y in enumerate(b) if y != zero]
+    out = [zero] * length
+    for i, x in [(i, x) for i, x in enumerate(a) if x != zero]:
+        for j, y in sb:
+            k = i + j
+            if k >= length:
+                break
+            out[k] = add(out[k], mul(x, y))
+    return out
 
 
 def _kronecker_product(ring: Ring, a, b, length: int) -> list:

@@ -5,15 +5,16 @@ Every unit f of A((t)) factors uniquely as
     f = a0 * t^w * prod_{i>0} (1 - a_i t^i) * prod_{i>0} (1 - a_{-i} t^{-i})
 
 with a0 a unit, the negative coordinates nilpotent and almost all zero.
-All coordinates come from one split f = c * t^w * h / G (series.py),
-which the series keeps: the negative ones are read once, off 1/G in
-t^-1, when the split is made; the positive ones are read off h/h(0) in
-t by the same peeling recurrence (_peel).  The Contou-Carrere symbol is
-a finite product of coordinates: nilpotency truncates the pairing terms,
-and the negative coordinates fix the windows (required_precision)
-instead of ever truncating an answer: the term of a_i against b_{-j} is
-1 once i/gcd(i, j) >= n_j (the least n with b_{-j}^n = 0), hence for
-every i >= (n_j - 1)*j + 1, as i/gcd(i, j) >= i/j.  Over a field the symbol
+All coordinates come from one split f = t^w * h / G (series.py), which
+the series keeps: the negative ones are read once, off 1/G in t^-1, when
+the split is made; a0 is h(0), and the positive ones are read off h in t
+by the same peeling recurrence (_peel), which divides by h(0) itself.
+The Contou-Carrere symbol is a finite product of coordinates: nilpotency
+truncates the pairing terms, and the negative coordinates fix the windows
+(required_precision) instead of ever truncating an answer: the term of
+a_i against b_{-j} is 1 once i/gcd(i, j) >= n_j (the least n with
+b_{-j}^n = 0), hence for every i >= (n_j - 1)*j + 1, as
+i/gcd(i, j) >= i/j.  Over a field the symbol
 degenerates to the tame symbol at t = 0.  Kato's residue symbol for the
 two-variable field k((x))((z)) is computed levelwise over k[x]/(x^m)
 from the x^e * unit normal form.
@@ -83,19 +84,17 @@ def witt_decompose(f: LaurentSeries, prec=None) -> UnitDecomposition:
     split = _split_unit(f)
     h = split.h
     ring = h.ring
-    u0 = h.coeff(0)
-    a0 = ring.mul(split.c, u0)
+    a0 = h.coeff(0)
     neg = dict(split.neg)
     if h.prec == INF and len(h.coeffs) <= 1:
         # pure monomial times negative tail: every positive coordinate is zero
         return UnitDecomposition(ring, split.w, a0, {}, neg, INF)
     if prec is None:
         prec = f.prec - split.w
-    # scale only the window by u0^-1, not all of h
     avail = int(min(h.prec, prec if prec != INF else DEFAULT_PRECISION))
-    inv_u0 = ring.inv(u0)
-    pos = _peel(ring, [ring.mul(inv_u0, h.coeff(k)) for k in range(avail)])
-    return UnitDecomposition(ring, split.w, a0, pos, neg, avail)
+    # h starts at t^0 (h(0) = a0 is a unit): its window is a slice, zero-padded
+    window = [*h.coeffs[:avail], *[ring.zero] * (avail - len(h.coeffs))]
+    return UnitDecomposition(ring, split.w, a0, _peel(ring, window), neg, avail)
 
 
 def recompose(d: UnitDecomposition, prec=None) -> LaurentSeries:

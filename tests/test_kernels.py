@@ -12,10 +12,13 @@ import pytest
 
 from ccsym.errors import IndeterminateAtPrecision
 from ccsym.parsing import parse_ring, parse_series
+from ccsym import series
 from ccsym.series import (
     INF,
+    SPARSE_PRODUCT_RATIO,
     LaurentSeries,
     _kronecker_product,
+    _peel,
     _split_unit,
     _unit_power_series_inverse,
 )
@@ -136,6 +139,84 @@ def test_series_product_precision(spec):
         )
         assert f * g == expected
         assert g * f == expected
+
+
+def _nonzero(ring, rng):
+    while True:
+        x = ring.random_element(rng)
+        if not ring.is_zero(x):
+            return x
+
+
+def _sparse_window(ring, rng, length, nnz):
+    """``length`` slots, nonzero at both ends and at nnz - 2 other slots."""
+    out = [ring.zero] * length
+    for i in [0, length - 1, *rng.sample(range(1, length - 1), nnz - 2)]:
+        out[i] = _nonzero(ring, rng)
+    return out
+
+
+#: (len(a), nnz(a), len(b), nnz(b)) with nnz(a)*nnz(b) at the crossover...
+AT_CROSSOVER = [(4, 2, 4, 4), (6, 3, 3, 3), (5, 2, 5, 5), (10, 4, 10, 5)]
+#: ...and one pair past it
+PAST_CROSSOVER = [(4, 3, 4, 3), (6, 2, 7, 7), (10, 3, 10, 7), (5, 4, 6, 3)]
+
+
+@pytest.mark.parametrize("spec", ["F2[e]/(e^3)", "Z/27", "Q[e]/(e^2)"])
+def test_product_on_both_sides_of_the_sparse_crossover(spec, monkeypatch):
+    ring = parse_ring(spec)
+    rng = random.Random(f"crossover:{spec}")
+    packed = []
+    monkeypatch.setattr(
+        series,
+        "_kronecker_product",
+        lambda *args: packed.append(args) or _kronecker_product(*args),
+    )
+    for shapes, slack in ((AT_CROSSOVER, 0), (PAST_CROSSOVER, 1)):
+        for la, na, lb, nb in shapes:
+            assert na * nb == SPARSE_PRODUCT_RATIO * (la + lb) + slack
+            a, b = _sparse_window(ring, rng, la, na), _sparse_window(ring, rng, lb, nb)
+            full = la + lb - 1
+            # exact, one factor cut, both cut; every cut keeps both windows
+            # whole and stops the sparse loop at k >= length
+            for pa, pb in ((INF, INF), (INF, max(la, lb)), (full - 1, max(la, lb) + 1)):
+                f, g = LaurentSeries(ring, 2, a, 2 + pa), LaurentSeries(ring, -3, b, -3 + pb)
+                prec = min(2 + g.prec, -3 + f.prec)
+                length = min(full, prec + 1)
+                assert max(la, lb) <= length
+                expected = LaurentSeries(ring, -1, schoolbook(ring, a, b, length), prec)
+                packed.clear()
+                assert f * g == expected, (spec, la, na, lb, nb, pa, pb)
+                assert len(packed) == slack, (spec, la, na, lb, nb, pa, pb)
+
+
+def test_sparse_product_stops_at_the_precision():
+    # (1 + t^3) * (1 + t^5) below t^7: the pair (3, 5) lands past the window
+    ring = parse_ring("Z/27")
+    f = LaurentSeries(ring, 0, [1, 0, 0, 2])
+    g = LaurentSeries(ring, 0, [1, 0, 0, 0, 0, 4], 7)
+    assert f * g == LaurentSeries(ring, 0, [1, 0, 0, 2, 0, 4], 7)
+
+
+@pytest.mark.parametrize("spec", ["F5[e]/(e^3)", "Z/25", "Q[e]/(e^2)"])
+def test_peel_divides_by_the_leading_coefficient(spec):
+    """_peel(v) reads the coordinates of v/v[0], and v[0] * prod (1 - a_i s^i)
+    gives v back below s^len(v)."""
+    ring = parse_ring(spec)
+    rng = random.Random(f"peel:{spec}")
+    for n in (1, 2, 5, 12, 20):
+        for sparse in (False, True):
+            v = [ring.random_unit(rng)] + [
+                ring.zero if sparse and rng.random() < 0.6 else ring.random_element(rng)
+                for _ in range(n - 1)
+            ]
+            inv0 = ring.inv(v[0])
+            coords = _peel(ring, list(v))
+            assert coords == _peel(ring, [ring.mul(inv0, x) for x in v])
+            product = [v[0]] + [ring.zero] * (n - 1)
+            for i, a in sorted(coords.items()):
+                product = schoolbook(ring, product, [ring.one] + [ring.zero] * (i - 1) + [ring.neg(a)], n)
+            assert product == v, (spec, n, sparse)
 
 
 @pytest.mark.parametrize("spec", ["F5", "Z/125", "F3[e]/(e^3)", "Q", "Q[e]/(e^2)"])

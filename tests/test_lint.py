@@ -143,3 +143,45 @@ def test_element_layout_stays_in_rings(path):
     # reads a ring's base; everything else asks the ring
     found = _base_reads(ast.parse(path.read_text(), str(path)))
     assert not found, f"{path.name}: {found}"
+
+
+def _environment_reads(tree):
+    """(line, text) of each ``import os``/``from os import _`` and each
+    ``os.environ``/``os.getenv`` access."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            names = [_name(node.value) or ""]
+        else:
+            continue
+        if any(name == "os" or name.startswith("os.") for name in names):
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_environment_reads_are_flagged():
+    snippet = (
+        "import os\n"
+        "import os.path\n"
+        "from os import environ\n"
+        "x = os.environ['A']\n"
+        "y = os.getenv('B')\n"
+        "import sys\n"
+        "from osmosis import getenv\n"
+        "z = cfg.environ\n"
+    )
+    found = _environment_reads(ast.parse(snippet))
+    assert sorted(line for line, _ in found) == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_library_reads_no_environment(path):
+    # the library's behaviour is a function of its arguments: tuning
+    # constants such as the sparse-product crossover are module constants,
+    # never knobs read from the environment
+    found = _environment_reads(ast.parse(path.read_text(), str(path)))
+    assert not found, f"{path.name}: {found}"
