@@ -70,14 +70,14 @@ class Ring:
     def pow(self, x, n: int):
         if n < 0:
             return self.pow(self.inv(x), -n)
-        result = self.one
-        base = x
+        result = None  # x^0 = one is never multiplied in, nor x squared past the top bit
         while n:
             if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = x if result is None else self.mul(result, x)
             n >>= 1
-        return result
+            if n:
+                x = self.mul(x, x)
+        return self.one if result is None else result
 
     def dot(self, xs, ys):
         """Sum of pairwise products."""

@@ -14,16 +14,18 @@ integers, multiplied once, unpacked.
 A unit splits once as f = t^w * h / G, h in A[[t]] with unit constant
 term and G the exact product of the geometric inverses of the peeled
 nilpotent negative tail; inverse, dlog and unit coordinates are read
-from this split, which the series keeps.  h is known below
-(f.prec - w) + ell(G): one product with G, not one loss per peeled
-factor.  The split also owns the canonical negative coordinates a_{-i}
-of B = 1/G = prod (1 - a_{-i} t^-i), read once off B by the peeling
-recurrence (_peel) that the positive coordinates use too.  Neither the
-split nor the peel scales a series by its leading constant.
+from this split, which the series keeps.  Each peeled factor divides
+t^-w*f*G and G in place, no series product, and h = t^-w*f*G is known
+below (f.prec - w) + ell(G).  The split owns the canonical coordinates
+a_{-i} of B = 1/G = prod (1 - a_{-i} t^-i), read once off B by the
+peeling recurrence (_peel) that the positive coordinates use too.
+Neither the split nor the peel scales a series by its leading constant.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from typing import NamedTuple
 
 from .errors import (
@@ -384,13 +386,6 @@ class LaurentSeries:
         return f"LaurentSeries({self.ring}, {self.format()})"
 
 
-def _geometric_inverse(ring: Ring, d: int, a) -> LaurentSeries:
-    """(1 - a*t^d)^(-1) = sum a^k t^(dk) for nilpotent a; exact and finite."""
-    return LaurentSeries.from_terms(
-        ring, {d * k: power for k, power in enumerate(ring.nilpotent_powers(a))}
-    )
-
-
 class _UnitSplit(NamedTuple):
     """f = t^w * h / G; ``neg`` maps i to the canonical a_{-i} of
     1/G = prod (1 - a_{-i} t^-i), ``geom`` is G, and h, whose constant
@@ -422,8 +417,9 @@ def _split_unit(f: LaurentSeries) -> _UnitSplit:
     f*t^-w, whose constant term c is a unit), pushing the rest into higher
     powers of the maximal ideal, so the loop ends (m^e = 0).  The peeled
     factor at depth d is 1 - a*t^d with a = -c^-1 * (h0*G)_d, so h0 itself
-    is never scaled.  Only that part of h0*G is formed per step; h = h0*G
-    is formed once.  Raises when f is too short to fix G.
+    is never scaled.  Each step divides the windows of h0*G and G by the
+    factor in place (_divide_binomial), forming no series product; h = h0*G
+    is known below (f.prec - w) + ell(G).  Raises when f is too short to fix G.
 
     B = 1/G is kept exactly alongside G, one factor (1 - a*t^d) per step.
     B is a polynomial of degree D = depth(B) in s = t^-1 whose coefficients
@@ -441,29 +437,52 @@ def _split_unit(f: LaurentSeries) -> _UnitSplit:
         return f._split
     ring = f.ring
     w = f.winding_number()
-    h0 = f.shift(-w)
-    c_inv = ring.inv(h0.coeff(0))
-    geom = B = LaurentSeries.one(ring)
-    tail = h0.truncate(0)
-    budget = 64 + 16 * ring.nilpotency_index * (1 + max(0, -h0.ell))
-    while tail.coeffs:
+    # hg = h0*G from t^lo, h0 known below t^top; G ends at its constant, t^0
+    lo, top = f.ell - w, f.prec - w
+    hg, geom = list(f.coeffs) if lo < 0 else f.coeffs, [ring.one]  # no tail: kept as is
+    c_inv = ring.inv(hg[-lo])
+    B = LaurentSeries.one(ring)
+    budget = 64 + 16 * ring.nilpotency_index * (1 + max(0, -lo))
+    while lo < min(0, top + 1 - len(geom)):
         budget -= 1
         if budget < 0:
             raise InvariantViolation("negative-tail peeling did not terminate")
-        d = tail.ell
-        a = ring.neg(ring.mul(c_inv, tail.coeff(d)))
-        B = B - B.scalar_mul(a).shift(d)
-        geom = geom * _geometric_inverse(ring, d, a)
-        tail = h0.truncate(-geom.ell) * geom
-    if tail.prec < 0:
+        a = ring.neg(ring.mul(c_inv, hg[0]))
+        B = B - B.scalar_mul(a).shift(lo)
+        lo -= _divide_binomial(ring, lo, a, hg, geom)[0]
+    ell_g = 1 - len(geom)
+    if top + ell_g < 0:
         raise IndeterminateAtPrecision(f"negative tail of {f} not determined")
     depth, e = -B.ell, ring.nilpotency_index
     # B runs from t^-depth up to its constant 1: reversed, it is B in s = t^-1
     neg = _peel(ring, [*B.coeffs[::-1], *[ring.zero] * ((e - 1) * depth)])
     if max(neg, default=0) > (e - 1) * depth:
         raise InvariantViolation(f"negative coordinate of {B} beyond index {(e - 1) * depth}")
-    f._split = _UnitSplit(w, neg, geom, h0 * geom if neg else h0)
+    h = LaurentSeries(ring, lo, hg, top + ell_g)
+    f._split = _UnitSplit(w, neg, LaurentSeries(ring, ell_g, geom), h)
     return f._split
+
+
+def _divide_binomial(ring: Ring, d: int, a, *windows) -> list:
+    """Divide each window, a Laurent polynomial from its lowest nonzero slot
+    up, in place by (1 - a*t^d), d < 0 and a^n = 0: the quotient q = v +
+    a*t^d*q gains (n - 1)*|d| low slots, filled downwards by q[k] += a*q[k +
+    |d|] over nonzero q[k + |d|], then loses its leading zeros.  Returns how
+    many slots lower each window starts.  Raises for a unit a."""
+    step = -d
+    new = (len(ring.nilpotent_powers(a)) - 1) * step
+    zero, add, mul = ring.zero, ring.add, ring.mul
+    shifts = []
+    for v in windows:
+        v[:0] = [zero] * new
+        for k in range(len(v) - 1 - step, -1, -1):
+            x = v[k + step]
+            if x != zero:
+                v[k] = add(v[k], mul(a, x))
+        lead = next(k for k, x in enumerate(v) if x != zero)  # q != 0: 1 - a*t^d is a unit
+        del v[:lead]
+        shifts.append(new - lead)
+    return shifts
 
 
 def _peel(ring: Ring, v: list) -> dict:
@@ -540,7 +559,9 @@ def _kronecker_product(ring: Ring, a, b, length: int) -> list:
     sums at most min(len(a), len(b)) * width products, so k holds it (and
     every input slot) with a sign bit and no digit carries into the next.
     Slots are stored with an offset of 2^(k-1) so that every digit is read
-    as a plain unsigned number.
+    as a plain unsigned number.  k/8 is rounded up to an ``array`` item size,
+    1, 2, 4 or 8 bytes, which packs and unpacks the digits in C; wider slots
+    go through ``int.to_bytes`` one by one.
     """
     xa, da = ring.encode(a)
     xb, db = ring.encode(b)
@@ -548,17 +569,26 @@ def _kronecker_product(ring: Ring, a, b, length: int) -> list:
     top_a, top_b = max(1, *map(abs, xa)), max(1, *map(abs, xb))
     bound = top_a * top_b * min(len(a), len(b)) * width
     size = bound.bit_length() // 8 + 1
+    size, code = next(((n, c) for n, c in _ARRAY_CODES if n >= size), (size, None))
     half = 1 << (8 * size - 1)
     offset = bytes(size - 1) + b"\x80"
 
     def pack(xs):
-        digits = b"".join([(x + half).to_bytes(size, "little") for x in xs])
+        xs = [x + half for x in xs]
+        if code:
+            digits = array(code, xs).tobytes()
+        else:
+            digits = b"".join([x.to_bytes(size, "little") for x in xs])
         return int.from_bytes(digits, "little") - int.from_bytes(offset * len(xs), "little")
 
     slots = length * (2 * width - 1)
     product = pack(xa) * pack(xb) + int.from_bytes(offset * slots, "little")
     digits = (product & ((1 << (8 * size * slots)) - 1)).to_bytes(size * slots, "little")
-    values = [
-        int.from_bytes(digits[i : i + size], "little") - half for i in range(0, len(digits), size)
+    values = array(code, digits) if code else [
+        int.from_bytes(digits[i : i + size], "little") for i in range(0, len(digits), size)
     ]
-    return ring.decode(values, da * db)
+    return ring.decode([v - half for v in values], da * db)
+
+
+#: (item size, unsigned ``array`` code), sizes rising; native-endian items, read as little-endian
+_ARRAY_CODES = [(array(c).itemsize, c) for c in "BHILQ" if sys.byteorder == "little"]

@@ -165,12 +165,12 @@ def _pairing_product(ring: Ring, pos: dict, neg: dict):
     """prod over a_i in pos, b_{-j} in neg of (1 - a_i^(j/d) b_{-j}^(i/d))^d, d = gcd(i, j)."""
     out = ring.one
     for j, b in neg.items():
+        powers = ring.nilpotent_powers(b)  # b^k = 0 from k = len(powers) on
         for i, a in pos.items():
             d = gcd(i, j)
-            bp = ring.pow(b, i // d)
-            if ring.is_zero(bp):
+            if i // d >= len(powers):
                 continue
-            term = ring.sub(ring.one, ring.mul(ring.pow(a, j // d), bp))
+            term = ring.sub(ring.one, ring.mul(ring.pow(a, j // d), powers[i // d]))
             out = ring.mul(out, ring.pow(term, d))
     return out
 

@@ -7,6 +7,7 @@ rings' add and mul only, so it shares no code with either product kernel.
 
 import itertools
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from ccsym.series import (
     INF,
     SPARSE_PRODUCT_RATIO,
     LaurentSeries,
+    _divide_binomial,
     _kronecker_product,
     _peel,
     _split_unit,
@@ -259,3 +261,104 @@ def test_failed_split_raises_again():
     for _ in range(2):
         with pytest.raises(IndeterminateAtPrecision):
             _split_unit(f)
+
+
+def _q_e2(*numerators):
+    ring = parse_ring("Q[e]/(e^2)")
+    return [ring.from_coefficients((n, -n)) for n in numerators]
+
+
+#: (ring, a, b, array item size or None for the per-slot bytes path): slot
+#: bounds top(a) * top(b) * min(len) * width just below 2^63 and at 2^63,
+#: the edge of 8-byte slots, and one F2[e]/(e^3) product within 1 byte
+ARRAY_EDGES = [
+    ("Q[e]/(e^2)", _q_e2(2**31 - 1, 5), _q_e2(-(2**30), 2**30), 8),
+    ("Q[e]/(e^2)", _q_e2(2**31, 5), _q_e2(-(2**30), 2**30), None),
+    ("F2[e]/(e^3)", [(1, 1, 0), (0, 1, 1), (1, 0, 1)], [(1, 1, 1), (1, 0, 0)], 1),
+]
+
+
+@pytest.mark.parametrize("spec,a,b,itemsize", ARRAY_EDGES, ids=["8-bytes", "9-bytes", "1-byte"])
+def test_kronecker_slots_on_both_sides_of_the_array_path(spec, a, b, itemsize, monkeypatch):
+    ring = parse_ring(spec)
+    codes = []
+    monkeypatch.setattr(series, "array", lambda code, *args: codes.append(code) or array(code, *args))
+    for length in (len(a) + len(b) - 1, 2):
+        codes.clear()
+        assert _kronecker_product(ring, a, b, length) == schoolbook(ring, a, b, length)
+        assert {array(code).itemsize for code in codes} == ({itemsize} if itemsize else set())
+
+
+def _reference_split(f):
+    """(w, G, h) of f = t^w * h / G by series products: G is multiplied by
+    (1 - a*t^d)^-1 = sum a^k t^(dk) for each peeled factor."""
+    ring = f.ring
+    w = f.winding_number()
+    h0 = f.shift(-w)
+    c_inv = ring.inv(h0.coeff(0))
+    geom = LaurentSeries.one(ring)
+    tail = h0.truncate(0)
+    while tail.coeffs:
+        d = tail.ell
+        a = ring.neg(ring.mul(c_inv, tail.coeff(d)))
+        powers = ring.nilpotent_powers(a)
+        geom = geom * LaurentSeries.from_terms(ring, {d * k: p for k, p in enumerate(powers)})
+        tail = h0.truncate(-geom.ell) * geom
+    if tail.prec < 0:
+        raise IndeterminateAtPrecision("negative tail not determined")
+    return w, geom, h0 * geom
+
+
+@pytest.mark.parametrize("spec", ["F2[e]/(e^4)", "F7[e]/(e^4)", "Q[e]/(e^3)", "Z/27"])
+def test_split_invariants(spec):
+    """f = t^w * h / G with h in A[[t]], G * B = 1 for B = prod (1 - a_{-i} t^-i)
+    rebuilt from the coordinates, h * B = t^-w * f wherever both are known,
+    h known below (f.prec - w) + ell(G), and the split of a series
+    reference raises where the split does."""
+    ring = parse_ring(spec)
+    rng = random.Random(f"split:{spec}")
+    raised = 0
+    for _ in range(150):
+        depth, w = rng.randint(0, 6), rng.randint(-3, 3)
+        coeffs = [ring.random_nilpotent(rng) for _ in range(depth)]
+        coeffs += [ring.random_unit(rng)] + [ring.random_element(rng) for _ in range(rng.randint(0, 6))]
+        prec = INF if rng.random() < 0.4 else w + rng.randint(1, len(coeffs) + 3)
+        f = LaurentSeries(ring, w - depth, coeffs, prec)
+        try:
+            expected = _reference_split(f)
+        except IndeterminateAtPrecision:
+            raised += 1
+            with pytest.raises(IndeterminateAtPrecision):
+                _split_unit(f)
+            continue
+        split = _split_unit(f)
+        assert (split.w, split.geom, split.h) == expected
+        assert split.h.ell >= 0
+        B = LaurentSeries.one(ring)
+        for i, a in split.neg.items():
+            B = B * LaurentSeries.from_terms(ring, {0: ring.one, -i: ring.neg(a)})
+        assert split.geom * B == LaurentSeries.one(ring)
+        assert (split.h * B).agrees_with(f.shift(-split.w))
+        assert split.h.prec == (f.prec - split.w) + split.geom.ell
+    assert 0 < raised < 150
+
+
+@pytest.mark.parametrize("spec", ["F3[e]/(e^3)", "Z/27", "Q[e]/(e^2)"])
+def test_divide_binomial(spec):
+    """v / (1 - a*t^d) times (1 - a*t^d) gives v back, for windows that
+    start at a nonzero slot and hold runs of zeros, |d| = 1 and |d| > 1."""
+    ring = parse_ring(spec)
+    rng = random.Random(f"divide:{spec}")
+    zero = ring.zero
+    for d in (-1, -2, -5):
+        for v in (
+            [ring.random_unit(rng)],
+            [_nonzero(ring, rng), zero, zero, zero, ring.random_unit(rng), zero, _nonzero(ring, rng)],
+            [ring.one] + [_nonzero(ring, rng) if rng.random() < 0.4 else zero for _ in range(12)],
+        ):
+            a = ring.random_nilpotent(rng)
+            q = list(v)
+            (shift,) = _divide_binomial(ring, d, a, q)
+            assert shift <= (len(ring.nilpotent_powers(a)) - 1) * -d and q[0] != zero
+            binomial = LaurentSeries.from_terms(ring, {0: ring.one, d: ring.neg(a)})
+            assert LaurentSeries(ring, -shift, q) * binomial == LaurentSeries(ring, 0, v)

@@ -302,3 +302,33 @@ def test_nilpotent_powers():
     for ring, unit in ((A3, A3.one), (Z25, 2), (F5, 3), (Q, Fraction(1, 2))):
         with pytest.raises(InvariantViolation):
             ring.nilpotent_powers(unit)
+
+
+@pytest.mark.parametrize("spec", ["F3[e]/(e^4)", "Q[e]/(e^3)"])
+def test_pow_is_repeated_mul(spec):
+    ring = parse_ring(spec)
+    rng = random.Random(f"pow:{spec}")
+    for x in [ring.random_unit(rng), ring.random_element(rng), ring.random_nilpotent(rng)]:
+        power = ring.one
+        for n in range(41):
+            assert ring.pow(x, n) == power, (spec, x, n)
+            power = ring.mul(power, x)
+
+
+class _CountingRing(TruncatedPolynomialRing):
+    """F_p[e]/(e^m) that counts its products."""
+
+    products = 0
+
+    def mul(self, x, y):
+        self.products += 1
+        return super().mul(x, y)
+
+
+def test_pow_of_a_power_of_two_squares_only():
+    ring = _CountingRing(F3, "e", 4)
+    x = ring.from_coefficients((2, 1, 0, 1))
+    for k in range(8):
+        ring.products = 0
+        ring.pow(x, 2**k)
+        assert ring.products == k

@@ -10,7 +10,7 @@ from ccsym.errors import (
 )
 from ccsym.rings import PrimeField, TruncatedPolynomialRing, residue_map
 from ccsym.parsing import parse_element, parse_ring, parse_series
-from ccsym.series import INF, LaurentSeries, _geometric_inverse, _split_unit
+from ccsym.series import INF, LaurentSeries, _divide_binomial, _split_unit
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -113,9 +113,9 @@ def test_inverse_after_deep_split():
     assert inv.prec == h_prec + split.geom.ell - split.w == 2
 
 
-def test_geometric_inverse_rejects_unit():
+def test_divide_binomial_rejects_unit():
     with pytest.raises(CCSymError):
-        _geometric_inverse(A2, -1, A2.one)
+        _divide_binomial(A2, -1, A2.one, [A2.one])
 
 
 def test_derivative():
