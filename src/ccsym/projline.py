@@ -6,7 +6,9 @@ coordinate t = x - s, or t = 1/x at infinity) are unit Laurent series,
 so tame and Contou-Carrere symbols and residues of global two-forms can
 be computed per point and multiplied or summed over the full section
 set.  Both kinds of expansion are sums or products of one chart
-expansion, (x - s)^n at a point (_linear_power).  The reciprocity
+expansion, (x - s)^n at a point (_linear_power), read off the binomial
+series; only a negative power of a unit base is cut, at the requested
+relative precision.  The reciprocity
 checks require the sections involved to stay residue-disjoint; two
 distinct section values over the same closed point raise
 SectionCollision.
@@ -26,7 +28,7 @@ from .errors import (
 )
 from .forms import AOneForm, TwoForm, res2
 from .rings import Ring
-from .series import LaurentSeries
+from .series import INF, LaurentSeries
 from .symbols import contou_carrere
 
 
@@ -128,19 +130,44 @@ class SplitRationalFunction:
 
 
 def _linear_power(ring: Ring, s, n: int, point: SectionPoint, rel_prec: int) -> LaurentSeries:
-    """(x - s)^n in the chart at point: t^n at s itself, ((v - s) + t)^n at
-    another section v, and t^-n (1 - s t)^n at infinity (t = 1/x).  A
-    negative power inverts the base to relative precision rel_prec."""
+    """(x - s)^n in the chart at point, off the binomial series
+    sum_j C(n, j) a^(n-j) b^j of (a + b)^n, whose C(n, j) are integers for
+    every n: t^n at s itself, (c + t)^n with c = v - s at another section
+    v, and t^-n (1 - s t)^n at infinity (t = 1/x).  No series is inverted.
+
+    n >= 0 gives the exact polynomial, and so does a nilpotent c for every
+    n: (c + t)^n = t^n (1 + c t^-1)^n stops at c^(n_c) = 0.  A negative
+    power of a unit base, c + t or 1 - s t, is cut at relative precision
+    rel_prec: the sum runs over j < rel_prec.
+    """
     if point.at_infinity:
-        terms, shift = {0: ring.one, 1: ring.neg(s)}, -n
+        # t^-n * sum_j C(n, j) (-s)^j t^j
+        lead, ratio, ell = ring.one, ring.neg(s), -n
+        count, prec = (n + 1, INF) if n >= 0 else (rel_prec, rel_prec - n)
     elif point.value == s:
         return LaurentSeries.t_power(ring, n)
     else:
-        terms, shift = {0: ring.sub(point.value, s), 1: ring.one}, 0
-    base = LaurentSeries.from_terms(ring, terms)
-    if n < 0:
-        base, n = base.inverse(prec=rel_prec - base.winding_number()), -n
-    return (base**n).shift(shift)
+        c = ring.sub(point.value, s)
+        if n >= 0 or not ring.is_unit(c):
+            # sum_k C(n, k) c^k t^(n-k), built from t^n down
+            count = n + 1 if n >= 0 else len(ring.nilpotent_powers(c))
+            terms = _binomial_terms(ring, n, ring.one, c, count)
+            return LaurentSeries(ring, n - count + 1, terms[::-1])
+        # sum_j C(n, j) c^(n-j) t^j, from c^n = (c^-1)^-n on by c^-1
+        c_inv = ring.inv(c)
+        lead, ratio, ell, count, prec = ring.pow(c_inv, -n), c_inv, 0, rel_prec, rel_prec
+    return LaurentSeries(ring, ell, _binomial_terms(ring, n, lead, ratio, count), prec)
+
+
+def _binomial_terms(ring: Ring, n: int, lead, ratio, count: int) -> list:
+    """[C(n, j) * lead * ratio^j for j < max(count, 1)]: one ring product
+    steps the power, and one more scales it unless C(n, j) = 1."""
+    terms, power, binom = [lead], lead, 1
+    for j in range(1, count):
+        power = ring.mul(power, ratio)
+        binom = binom * (n - j + 1) // j
+        terms.append(power if binom == 1 else ring.mul(ring.from_int(binom), power))
+    return terms
 
 
 def tame_symbol_at_point(

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from ccsym.errors import NonZeroSum, SectionCollision, UnsupportedRing
+from ccsym import projline
+from ccsym.errors import CCSymError, NonZeroSum, SectionCollision, UnsupportedRing
 from ccsym.forms import AOneForm
 from ccsym.projline import (
     GlobalTwoForm,
     SectionPoint,
     SplitRationalFunction,
+    _linear_power,
     anderson_romo_check,
     realize_residues,
     residue_sum_check,
@@ -16,12 +18,13 @@ from ccsym.projline import (
 )
 from ccsym.randgen import draw_sections, draw_split_pair
 from ccsym.rings import (
+    IntegersModPrimePower,
     PrimeField,
     RationalField,
     TruncatedPolynomialRing,
     residue_map,
 )
-from ccsym.series import LaurentSeries
+from ccsym.series import INF, LaurentSeries
 from ccsym.symbols import contou_carrere
 
 F3 = PrimeField(3)
@@ -223,3 +226,133 @@ def test_global_form_collision_rejected():
         GlobalTwoForm.simple_poles(
             A2, {A2.zero: AOneForm(A2, A2.one), EPS: AOneForm(A2, A2.one)}
         )
+
+
+def _power_by_inverse(ring, s, n, point, rel_prec):
+    """(x - s)^n as it was expanded before the binomial series: invert the
+    base through the unit split, raise it to the power -n, shift."""
+    if point.at_infinity:
+        terms, shift = {0: ring.one, 1: ring.neg(s)}, -n
+    elif point.value == s:
+        return LaurentSeries.t_power(ring, n)
+    else:
+        terms, shift = {0: ring.sub(point.value, s), 1: ring.one}, 0
+    base = LaurentSeries.from_terms(ring, terms)
+    if n < 0:
+        base, n = base.inverse(prec=rel_prec - base.winding_number()), -n
+    return (base**n).shift(shift)
+
+
+def _outcome(expand, *args):
+    try:
+        return expand(*args), None
+    except CCSymError as exc:
+        return None, (type(exc), str(exc))
+
+
+BINOMIAL_RINGS = (
+    F5,
+    F7,
+    Q,
+    A2,
+    TruncatedPolynomialRing(PrimeField(2), "e", 4),
+    TruncatedPolynomialRing(F5, "e", 3),
+    TruncatedPolynomialRing(Q, "e", 3),
+    IntegersModPrimePower(2, 3),
+    IntegersModPrimePower(3, 2),
+    IntegersModPrimePower(3, 3),
+)
+
+
+@pytest.mark.parametrize("ring", BINOMIAL_RINGS, ids=str)
+def test_binomial_series_matches_the_inverse_route(ring):
+    rng = random.Random(f"binomial:{ring}")
+    for rep in range(4):
+        s = ring.zero if rep == 0 else ring.random_element(rng)
+        points = (
+            SectionPoint.affine(ring.add(s, ring.random_unit(rng))),
+            SectionPoint.affine(ring.add(s, ring.random_nilpotent(rng))),
+            SectionPoint.affine(s),
+            INF_PT,
+        )
+        for pt in points:
+            nilpotent_offset = not pt.at_infinity and not ring.is_unit(ring.sub(pt.value, s))
+            for n in range(-7, 8):
+                for rel_prec in (1, 2, 5, 9):
+                    old, old_err = _outcome(_power_by_inverse, ring, s, n, pt, rel_prec)
+                    new, new_err = _outcome(_linear_power, ring, s, n, pt, rel_prec)
+                    if nilpotent_offset and n < 0 and pt.value != s:
+                        # an exact finite sum, which the inverse route cut
+                        assert new_err is None and new.prec == INF
+                        assert old_err is not None or new.agrees_with(old)
+                        continue
+                    assert new_err == old_err
+                    if old_err is None:
+                        assert (new.ell, new.prec, new.coeffs, new.format()) == (
+                            old.ell,
+                            old.prec,
+                            old.coeffs,
+                            old.format(),
+                        )
+
+
+def test_binomial_series_values():
+    one_e = A2.add(A2.one, EPS)
+    assert str(_linear_power(F5, 3, -3, SectionPoint.affine(0), 4)) == "2+2*t+3*t^2+O(t^4)"
+    # an exact monomial at infinity is still cut at the relative precision
+    assert str(_linear_power(A2, A2.zero, -2, INF_PT, 3)) == "t^2+O(t^5)"
+    assert str(_linear_power(A2, one_e, -2, INF_PT, 3)) == "t^2+(2+2*e)*t^3+O(t^5)"
+    assert str(_linear_power(A2, A2.zero, 3, SectionPoint.affine(EPS), 2)) == "t^3"
+
+
+def test_negative_power_at_a_nilpotent_offset_is_exact():
+    # (e + t)^n = t^n (1 + e t^-1)^n, a finite sum for every n
+    assert str(_linear_power(A2, A2.zero, -2, SectionPoint.affine(EPS), 3)) == "e*t^-3+t^-2"
+    one_e = A2.add(A2.one, EPS)
+    one_2e = A2.add(one_e, EPS)
+    for rel_prec in (1, 5):
+        got = _linear_power(A2, one_e, -7, SectionPoint.affine(one_2e), rel_prec)
+        assert str(got) == "2*e*t^-8+t^-7"
+    assert str(_power_by_inverse(A2, one_e, -7, SectionPoint.affine(one_2e), 1)) == "O(t^-9)"
+
+
+def test_checks_expand_charts_without_series_powers(monkeypatch):
+    """The reciprocity checks expand every chart by the binomial series:
+    no series inverse or power runs inside _linear_power."""
+    ring = TruncatedPolynomialRing(F5, "e", 2)
+    eps = ring.generator()
+    inside, calls, slips = [0], [0], []
+
+    def watched(name, method):
+        def wrapper(*args, **kwargs):
+            if inside[0]:
+                slips.append(name)
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    def linear_power(*args):
+        calls[0] += 1
+        inside[0] += 1
+        try:
+            return _linear_power(*args)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(LaurentSeries, "inverse", watched("inverse", LaurentSeries.inverse))
+    monkeypatch.setattr(LaurentSeries, "__pow__", watched("__pow__", LaurentSeries.__pow__))
+    monkeypatch.setattr(projline, "_linear_power", linear_power)
+    two, three = ring.from_int(2), ring.add(ring.from_int(3), eps)
+    f = SplitRationalFunction(ring, two, [(eps, -3), (ring.one, 2), (three, 1)])
+    g = SplitRationalFunction(ring, ring.one, [(ring.one, -3), (ring.add(two, eps), 1)])
+    assert anderson_romo_check(f, g).passed
+    omega = GlobalTwoForm(
+        ring,
+        poles={
+            eps: {1: AOneForm(ring, ring.one), 3: AOneForm(ring, eps)},
+            three: {2: AOneForm(ring, two), 3: AOneForm(ring, ring.one)},
+        },
+        tail=(AOneForm(ring, eps), AOneForm(ring, ring.one)),
+    )
+    assert residue_sum_check(omega).passed
+    assert calls[0] > 0 and slips == []
