@@ -5,11 +5,9 @@ explicit precision bound N: coefficients at indices >= N are unknown,
 everything below N outside the stored window is exactly zero.  Exact
 data (Laurent polynomials) carry infinite precision.  All operations
 propagate the best sound precision and raise IndeterminateAtPrecision
-rather than answer from unknown coefficients.  A product of two windows
-longer than one coefficient is convolved over their nonzero coefficients
-when both are sparse (SPARSE_PRODUCT_RATIO), and is otherwise one
-Kronecker substitution: both coefficient vectors are packed into
-integers, multiplied once, unpacked.
+rather than answer from unknown coefficients.  A product scales by a
+one-coefficient window, or else is one Kronecker substitution: both
+coefficient vectors are packed into integers, multiplied once, unpacked.
 
 A unit splits once as f = t^w * h / G, h in A[[t]] with unit constant
 term and G the exact product of the geometric inverses of the peeled
@@ -42,11 +40,6 @@ INF = float("inf")
 #: window used when an exact series is inverted or expanded and the caller
 #: did not request a precision; results still carry their explicit O(t^N).
 DEFAULT_PRECISION = 24
-
-#: windows a, b with nnz(a)*nnz(b) <= ratio * (len(a) + len(b)) multiply over
-#: their supports, one ring mul and add per nonzero pair; longer or denser ones
-#: pack into one Kronecker product, whose cost is Python work per slot, zero or not
-SPARSE_PRODUCT_RATIO = 1
 
 
 class LaurentSeries:
@@ -174,17 +167,13 @@ class LaurentSeries:
         if length <= 0:
             return LaurentSeries(ring, lo, (), prec)
         a, b = self.coeffs[:length], other.coeffs[:length]
-        zero, mul = ring.zero, ring.mul  # elements are canonical: zero is one value
+        if len(b) == 1:
+            a, b = b, a  # A is commutative: scale by the one-coefficient window
         if len(a) == 1:
-            out = [zero if y == zero else mul(a[0], y) for y in b]
-        elif len(b) == 1:
-            out = [zero if x == zero else mul(x, b[0]) for x in a]
+            zero, mul, c = ring.zero, ring.mul, a[0]  # elements are canonical: zero is one value
+            out = [zero if y == zero else mul(c, y) for y in b]
         else:
-            nnz_a, nnz_b = len(a) - a.count(zero), len(b) - b.count(zero)
-            if nnz_a * nnz_b <= SPARSE_PRODUCT_RATIO * (len(a) + len(b)):
-                out = _sparse_product(ring, a, b, length)
-            else:
-                out = _kronecker_product(ring, a, b, length)
+            out = _kronecker_product(ring, a, b, length)
         return LaurentSeries(ring, lo, out, prec)
 
     def scalar_mul(self, c) -> LaurentSeries:
@@ -514,39 +503,21 @@ def _peel(ring: Ring, v: list) -> dict:
 def _unit_power_series_inverse(g: LaurentSeries, n: int) -> LaurentSeries:
     """Inverse of g = u*(1 + O(t)) below t^min(n, g.prec), u a unit of A.
 
-    Back-substitution over the stored support S of g above t^0: with
-    r_j = -g_j/u, out_k = sum_{j in S, j <= k} r_j * out_{k-j}, one
-    ``ring.dot`` per coefficient, so a sparse g costs O(n * |S|).
+    Back-substitution over the stored window of g: with r_j = -g_j/u,
+    out_k = sum_{0 < j <= k, j < g.end()} r_j * out_{k-j}, zero r_j
+    included, one ``ring.dot`` per coefficient.
     """
     ring = g.ring
     n = min(n, g.prec)
     if n <= 0:
         raise IndeterminateAtPrecision("no known coefficients to invert")
     g0inv = ring.inv(g.coeff(0))
-    support = [j for j in range(1, min(g.end(), n)) if not ring.is_zero(g.coeff(j))]
-    ratios = [ring.neg(ring.mul(g0inv, g.coeff(j))) for j in support]
+    ratios = [ring.neg(ring.mul(g0inv, g.coeff(j))) for j in range(1, min(g.end(), n))]
     out = [g0inv]
-    used = 0
     for k in range(1, n):
-        if used < len(support) and support[used] == k:
-            used += 1
-        out.append(ring.dot(ratios[:used], [out[k - j] for j in support[:used]]))
+        m = min(k, len(ratios))
+        out.append(ring.dot(ratios[:m], out[k - m : k][::-1]))
     return LaurentSeries(ring, 0, out, n)
-
-
-def _sparse_product(ring: Ring, a, b, length: int) -> list:
-    """The first ``length`` coefficients of (sum a_i t^i) * (sum b_j t^j),
-    convolved over the nonzero a_i and b_j only (see SPARSE_PRODUCT_RATIO)."""
-    zero, add, mul = ring.zero, ring.add, ring.mul
-    sb = [(j, y) for j, y in enumerate(b) if y != zero]
-    out = [zero] * length
-    for i, x in [(i, x) for i, x in enumerate(a) if x != zero]:
-        for j, y in sb:
-            k = i + j
-            if k >= length:
-                break
-            out[k] = add(out[k], mul(x, y))
-    return out
 
 
 def _kronecker_product(ring: Ring, a, b, length: int) -> list:

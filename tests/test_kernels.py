@@ -1,8 +1,9 @@
-"""The packed and sparse series products, the peeling recurrence and the
-power-series inverse against references.
+"""The packed series product, the peeling recurrence and the power-series
+inverse against references.
 
 The reference product is the schoolbook convolution written here with the
-rings' add and mul only, so it shares no code with either product kernel.
+rings' add and mul only, so it shares no code with the product kernel.  The
+reference inverse is back-substitution over the stored support of g.
 """
 
 import itertools
@@ -13,11 +14,10 @@ from fractions import Fraction
 import pytest
 
 from ccsym import series
-from ccsym.errors import IndeterminateAtPrecision
+from ccsym.errors import CCSymError, IndeterminateAtPrecision
 from ccsym.parsing import parse_ring, parse_series
 from ccsym.series import (
     INF,
-    SPARSE_PRODUCT_RATIO,
     LaurentSeries,
     _divide_binomial,
     _kronecker_product,
@@ -159,14 +159,20 @@ def _sparse_window(ring, rng, length, nnz):
     return out
 
 
-#: (len(a), nnz(a), len(b), nnz(b)) with nnz(a)*nnz(b) at the crossover...
-AT_CROSSOVER = [(4, 2, 4, 4), (6, 3, 3, 3), (5, 2, 5, 5), (10, 4, 10, 5)]
-#: ...and one pair past it
-PAST_CROSSOVER = [(4, 3, 4, 3), (6, 2, 7, 7), (10, 3, 10, 7), (5, 4, 6, 3)]
+#: (len(a), nnz(a), len(b), nnz(b)): sparse windows with nnz(a)*nnz(b) equal to
+#: len(a) + len(b) or one more, then the commonest shapes of the products in
+#: the residue-square acceptance criterion (dlog-square, seed 103)
+SPARSE_SHAPES = [
+    (4, 2, 4, 4), (6, 3, 3, 3), (5, 2, 5, 5), (10, 4, 10, 5),
+    (4, 3, 4, 3), (6, 2, 7, 7), (10, 3, 10, 7), (5, 4, 6, 3),
+    (24, 10, 3, 2), (24, 8, 2, 2), (16, 4, 3, 2),
+]
 
 
 @pytest.mark.parametrize("spec", ["F2[e]/(e^3)", "Z/27", "Q[e]/(e^2)"])
-def test_product_on_both_sides_of_the_sparse_crossover(spec, monkeypatch):
+def test_sparse_windows_make_one_kronecker_product(spec, monkeypatch):
+    """Two windows longer than one coefficient multiply by one Kronecker
+    product, sparse or not; a one-coefficient factor, on either side, by none."""
     ring = parse_ring(spec)
     rng = random.Random(f"crossover:{spec}")
     packed = []
@@ -175,22 +181,26 @@ def test_product_on_both_sides_of_the_sparse_crossover(spec, monkeypatch):
         "_kronecker_product",
         lambda *args: packed.append(args) or _kronecker_product(*args),
     )
-    for shapes, slack in ((AT_CROSSOVER, 0), (PAST_CROSSOVER, 1)):
-        for la, na, lb, nb in shapes:
-            assert na * nb == SPARSE_PRODUCT_RATIO * (la + lb) + slack
-            a, b = _sparse_window(ring, rng, la, na), _sparse_window(ring, rng, lb, nb)
-            full = la + lb - 1
-            # exact, one factor cut, both cut; every cut keeps both windows
-            # whole and stops the sparse loop at k >= length
-            for pa, pb in ((INF, INF), (INF, max(la, lb)), (full - 1, max(la, lb) + 1)):
-                f, g = LaurentSeries(ring, 2, a, 2 + pa), LaurentSeries(ring, -3, b, -3 + pb)
-                prec = min(2 + g.prec, -3 + f.prec)
-                length = min(full, prec + 1)
-                assert max(la, lb) <= length and (length < full) == (pb != INF)
-                expected = LaurentSeries(ring, -1, schoolbook(ring, a, b, length), prec)
-                packed.clear()
-                assert f * g == expected, (spec, la, na, lb, nb, pa, pb)
-                assert len(packed) == slack, (spec, la, na, lb, nb, pa, pb)
+    for la, na, lb, nb in SPARSE_SHAPES:
+        a, b = _sparse_window(ring, rng, la, na), _sparse_window(ring, rng, lb, nb)
+        full = la + lb - 1
+        # exact, one factor cut, both cut; every cut keeps both windows whole
+        for pa, pb in ((INF, INF), (INF, max(la, lb)), (full - 1, max(la, lb) + 1)):
+            f, g = LaurentSeries(ring, 2, a, 2 + pa), LaurentSeries(ring, -3, b, -3 + pb)
+            prec = min(2 + g.prec, -3 + f.prec)
+            length = min(full, prec + 1)
+            assert max(la, lb) <= length and (length < full) == (pb != INF)
+            expected = LaurentSeries(ring, -1, schoolbook(ring, a, b, length), prec)
+            packed.clear()
+            assert f * g == expected, (spec, la, na, lb, nb, pa, pb)
+            assert len(packed) == 1, (spec, la, na, lb, nb, pa, pb)
+    c = LaurentSeries(ring, 1, [_nonzero(ring, rng)], 30)
+    packed.clear()
+    for f, g in ((c, LaurentSeries(ring, -3, a)), (LaurentSeries(ring, -3, b, 5), c)):
+        prec = min(f.ell + g.prec, g.ell + f.prec)
+        expected = LaurentSeries(ring, -2, schoolbook(ring, f.coeffs, g.coeffs, 40), prec)
+        assert f * g == expected and g * f == expected
+    assert not packed
 
 
 @pytest.mark.parametrize("spec", ["F5[e]/(e^3)", "Z/25", "Q[e]/(e^2)"])
@@ -239,6 +249,73 @@ def test_inverse_of_dense_series_short_of_the_window(spec):
         assert g * inv == LaurentSeries.one(ring, prec=known)
     with pytest.raises(IndeterminateAtPrecision):
         _unit_power_series_inverse(LaurentSeries(ring, 0, [ring.one], 0), 5)
+
+
+def _inverse_by_support(g, n):
+    """Back-substitution over the stored support S of g above t^0: with
+    r_j = -g_j/u, out_k = sum_{j in S, j <= k} r_j * out_{k-j}."""
+    ring = g.ring
+    n = min(n, g.prec)
+    if n <= 0:
+        raise IndeterminateAtPrecision("no known coefficients to invert")
+    g0inv = ring.inv(g.coeff(0))
+    support = [j for j in range(1, min(g.end(), n)) if not ring.is_zero(g.coeff(j))]
+    ratios = [ring.neg(ring.mul(g0inv, g.coeff(j))) for j in support]
+    out = [g0inv]
+    used = 0
+    for k in range(1, n):
+        if used < len(support) and support[used] == k:
+            used += 1
+        out.append(ring.dot(ratios[:used], [out[k - j] for j in support[:used]]))
+    return LaurentSeries(ring, 0, out, n)
+
+
+def _outcome(fn, g, n):
+    try:
+        inv = fn(g, n)
+    except CCSymError as exc:
+        return type(exc), str(exc)
+    return inv.ell, inv.prec, inv.coeffs
+
+
+def _inverse_inputs(ring, rng):
+    """Power series g: binomials, zero runs, dense windows, windows cut short,
+    exact constants, and a few with a nilpotent constant or no known slot."""
+    zero = ring.zero
+    for k in (1, 2, 5, 23):
+        yield LaurentSeries.from_terms(ring, {0: ring.random_unit(rng), k: _nonzero(ring, rng)})
+    for length in (3, 12, 40):
+        runs = [ring.random_unit(rng)]
+        while len(runs) < length:
+            runs += [zero] * rng.randint(1, 6) + [_nonzero(ring, rng)]
+        yield LaurentSeries(ring, 0, runs)
+        dense = [ring.random_unit(rng)] + [ring.random_element(rng) for _ in range(length)]
+        yield LaurentSeries(ring, 0, dense)
+        for known in (1, 3, 17):
+            yield LaurentSeries(ring, 0, dense, known)
+            yield LaurentSeries(ring, 0, runs, known)
+    yield LaurentSeries.constant(ring, ring.random_unit(rng))
+    yield LaurentSeries.one(ring)
+    yield LaurentSeries(ring, 0, [ring.random_nilpotent(rng), ring.one], 9)
+    yield LaurentSeries(ring, 0, [ring.one], 0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["F5", "F7", "Q", "F3[e]/(e^2)", "F2[e]/(e^4)", "F5[e]/(e^3)", "Q[e]/(e^3)", "Z/8", "Z/9", "Z/27"],
+)
+def test_dense_inverse_matches_the_support_recurrence(spec):
+    """The dense back-substitution gives the support-bounded one's ell, prec
+    and coefficients, or its error class and message."""
+    ring = parse_ring(spec)
+    rng = random.Random(f"inverse:{spec}")
+    errors = 0
+    for g in _inverse_inputs(ring, rng):
+        for n in (1, 2, 5, 24, 60):
+            expected = _outcome(_inverse_by_support, g, n)
+            assert _outcome(_unit_power_series_inverse, g, n) == expected, (spec, str(g), n)
+            errors += isinstance(expected[0], type)
+    assert errors
 
 
 def test_split_is_kept_on_the_series():

@@ -181,7 +181,7 @@ def test_environment_reads_are_flagged():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_library_reads_no_environment(path):
     # the library's behaviour is a function of its arguments: tuning
-    # constants such as the sparse-product crossover are module constants,
+    # constants such as DEFAULT_PRECISION are module constants,
     # never knobs read from the environment
     found = _environment_reads(ast.parse(path.read_text(), str(path)))
     assert not found, f"{path.name}: {found}"

@@ -221,6 +221,22 @@ def test_realize_residues_roundtrip():
         realize_residues(A2, {SectionPoint.affine(A2.one): AOneForm(A2, A2.one)})
 
 
+def test_wrong_residue_at_infinity_is_a_nonzero_sum():
+    """A dict keyed by SectionPoint holds one residue at infinity, so a wrong
+    one is caught by the sum alone."""
+    one = AOneForm(A2, A2.one)
+    affine = {SectionPoint.affine(A2.one): one, SectionPoint.affine(A2.from_int(2)): one}
+    implied = -(one + one)
+    for wrong in (one + one, AOneForm.zero(A2)):
+        assert wrong != implied
+        asgn = {**affine, INF_PT: implied, SectionPoint.infinity(): wrong}
+        assert len(asgn) == 3
+        with pytest.raises(NonZeroSum, match="^residue assignment does not sum to zero$"):
+            realize_residues(A2, asgn)
+    om = realize_residues(A2, {**affine, INF_PT: implied})
+    assert om.residue_at_section(INF_PT) == implied
+
+
 def test_global_form_collision_rejected():
     with pytest.raises(SectionCollision):
         GlobalTwoForm.simple_poles(
