@@ -90,6 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _series(ring, text, args):
+    if args.tprec < 0:
+        raise CCSymError(f"--tprec must be 0 (no cut) or a positive precision, got {args.tprec}")
     f = parse_series(ring, text)
     return f.truncate(args.tprec) if args.tprec else f
 

@@ -1,11 +1,19 @@
 """Text grammars: ring specs, elements, series, rational functions, forms.
 
 Ring specs look like "F5", "Q", "F3[e]/(e^2)", "Q[e]/(e^3)", "Z/25" (or
-"Z/5^2"); "Z/5" and "F5" name the same ring.  Elements are
-integer/rational polynomial expressions in the nilpotent generator;
-series add the variable and an optional precision marker, e.g.
-"1 - e*t^-1 + 2*t^3 + O(t^8)".  Rational functions are factored products
-"c * (x - s1)^n1 * ...".
+"Z/5^2"); "Z/5" and "F5" name the same ring.  Every other text is read by
+the one recursive-descent ``_ExpressionParser`` (its docstring lists the
+productions), which tokenizes the text once and reports each error at its
+position in the whole text:
+
+- elements: integer/rational expressions in the nilpotent generator;
+- series: the same plus the variable and an optional precision marker,
+  e.g. "1 - e*t^-1 + 2*t^3 + O(t^8)";
+- rational functions: factored products "c * (x - s1)^n1 * x^n2 * ...",
+  where (x + sum) is x - s with s = -sum, so "(x - 1 + e)" is x - (1 - e);
+- one-forms "f*dt + g*de", two-forms "h*de^dt", and global two-forms
+  "c*de/(x - s)^k + c*de*x^j + c*de" on the projective line;
+- M-hat elements "x^e * (unit in z)", or the unit in z alone.
 """
 
 from __future__ import annotations
@@ -55,41 +63,48 @@ def parse_ring(text: str) -> Ring:
     raise ParseError(f"unrecognized ring spec {text!r}")
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([()+\-*/^]))")
+_TOKEN = re.compile(r"(\d+)|([A-Za-z]+)|([()+\-*/^])|(\S)")
 
 
 def _tokenize(text: str):
+    """(kind, value, position) triples; an operator is its own kind."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError("unexpected character", text, pos)
-            break
-        if m.group(1):
-            tokens.append(("num", int(m.group(1)), m.start(1)))
-        elif m.group(2):
-            tokens.append(("name", m.group(2), m.start(2)))
-        else:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        num, name, op, bad = m.groups()
+        at = m.start()
+        if bad:
+            raise ParseError("unexpected character", text, at)
+        kind = "num" if num else "name" if name else op
+        tokens.append((kind, int(num) if num else name or op, at))
     tokens.append(("end", None, len(text)))
     return tokens
 
 
 class _ExpressionParser:
-    """Recursive-descent evaluator producing Laurent series values.
+    """Recursive-descent reader of one text into Laurent series values.
 
     sum := product (('+'|'-') product)*, product := unary (('*'|'/') unary)*,
     unary := ('-'|'+') unary | power, power := atom ['^' exponent]; so a
     sign covers the whole power after it, and -t^2 is -(t^2).
+
+    rational := factored (('+'|'-') factored)*, summed only while no
+    linear factor appears; factored := factor ('*' factor)*, factor :=
+    linear ['^' exponent] | unary ('/' unary)*, and linear := 'x' |
+    '(' 'x' (('+'|'-') product)* ')' is x plus that sum, x - s for s = -sum.
+
+    form := term (('+'|'-') term)*, term := signs [product '*'] d<letter>,
+    a product stopping before '*' d<letter>.  A two-form term goes on with
+    '^' d<var>, a global one with '/' linear ['^' k] or '*' 'x' ['^' j].
+
+    mhat := 'x' ['^' exponent] '*' product when that product ends the
+    text; otherwise the whole text is the unit's sum.
     """
 
-    def __init__(self, text: str, ring: Ring, variables: dict):
+    def __init__(self, text: str, ring: Ring, variables: dict, forms: bool = False):
         self.text = text
         self.ring = ring
         self.variables = variables
+        self.forms = forms
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -101,56 +116,76 @@ class _ExpressionParser:
         self.i += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, value, pos = self.next()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}", self.text, pos)
+    def at_op(self, ops: str) -> bool:
+        return self.tokens[self.i][0] in ops
 
-    def parse(self) -> LaurentSeries:
-        value = self.sum()
+    def skip(self, op: str) -> bool:
+        """Consume op if it comes next."""
+        if self.tokens[self.i][0] == op:
+            self.i += 1
+            return True
+        return False
+
+    def expect_op(self, op: str):
+        if not self.skip(op):
+            raise ParseError(f"expected {op!r}", self.text, self.peek()[2])
+
+    def differential(self, i: int) -> bool:
+        kind, name, _ = self.tokens[i]
+        return kind == "name" and len(name) == 2 and name[0] == "d"
+
+    def finish(self):
         kind, _, pos = self.peek()
         if kind != "end":
             raise ParseError("trailing input", self.text, pos)
+
+    def parse(self) -> LaurentSeries:
+        value = self.sum()
+        self.finish()
         return value
+
+    def element(self, value: LaurentSeries, pos: int):
+        """value as a ring element: exact and constant."""
+        if value.is_zero_series and value.prec == INF:
+            return self.ring.zero
+        if value.ell != 0 or len(value.coeffs) != 1 or value.prec != INF:
+            raise ParseError("not a ring element", self.text, pos)
+        return value.coeff(0)
 
     def sum(self) -> LaurentSeries:
         value = self.product()
-        while True:
-            kind, op, _ = self.peek()
-            if kind == "op" and op in "+-":
-                self.next()
-                rhs = self.product()
-                value = value + rhs if op == "+" else value - rhs
-            else:
-                return value
+        while self.at_op("+-"):
+            op = self.next()[1]
+            rhs = self.product()
+            value = value + rhs if op == "+" else value - rhs
+        return value
 
     def product(self) -> LaurentSeries:
         value = self.unary()
-        while True:
-            kind, op, _ = self.peek()
-            if kind == "op" and op in "*/":
-                self.next()
-                rhs = self.unary()
-                value = value * rhs if op == "*" else value * rhs.inverse()
-            else:
+        while self.at_op("*/"):
+            if self.forms and self.differential(self.i + 1):
                 return value
+            op = self.next()[1]
+            rhs = self.unary()
+            value = value * rhs if op == "*" else value * rhs.inverse()
+        return value
 
-    def power(self) -> LaurentSeries:
+    def unary(self) -> LaurentSeries:
+        if self.skip("-"):
+            return -self.unary()
+        if self.skip("+"):
+            return self.unary()
         base = self.atom()
-        kind, op, _ = self.peek()
-        if kind == "op" and op == "^":
-            self.next()
-            return base ** self.exponent()
-        return base
+        return base ** self.exponent() if self.skip("^") else base
 
     def exponent(self) -> int:
         kind, value, pos = self.next()
-        if kind == "op" and value == "-":
+        if kind == "-":
             kind, value, pos = self.next()
             if kind != "num":
                 raise ParseError("expected integer exponent", self.text, pos)
             return -value
-        if kind == "op" and value == "(":
+        if kind == "(":
             inner = self.exponent()
             self.expect_op(")")
             return inner
@@ -158,47 +193,116 @@ class _ExpressionParser:
             raise ParseError("expected integer exponent", self.text, pos)
         return value
 
-    def unary(self) -> LaurentSeries:
-        kind, op, _ = self.peek()
-        if kind == "op" and op == "-":
-            self.next()
-            return -self.unary()
-        if kind == "op" and op == "+":
-            self.next()
-            return self.unary()
-        return self.power()
-
     def atom(self) -> LaurentSeries:
         kind, value, pos = self.next()
         if kind == "num":
             return LaurentSeries.constant(self.ring, self.ring.from_int(value))
-        if kind == "op" and value == "(":
+        if kind == "(":
             inner = self.sum()
             self.expect_op(")")
             return inner
         if kind == "name":
             if value == "O":
-                return self.big_o(pos)
+                return self.big_o()
             if value in self.variables:
                 return self.variables[value]
             raise ParseError(f"unknown symbol {value!r}", self.text, pos)
         raise ParseError("expected a value", self.text, pos)
 
-    def big_o(self, at: int) -> LaurentSeries:
+    def big_o(self) -> LaurentSeries:
         self.expect_op("(")
         kind, value, pos = self.next()
-        if kind != "name" or value not in self.variables:
+        if kind != "name" or value not in self.variables or self.variables[value].ell != 1:
             raise ParseError("O(...) needs the series variable", self.text, pos)
-        var = self.variables[value]
-        if var.ell != 1:
-            raise ParseError("O(...) needs the series variable", self.text, pos)
-        kind, op, _ = self.peek()
-        n = 1
-        if kind == "op" and op == "^":
-            self.next()
-            n = self.exponent()
+        n = self.exponent() if self.skip("^") else 1
         self.expect_op(")")
         return LaurentSeries.zero(self.ring, prec=n)
+
+    def linear(self):
+        """The section s of a linear factor 'x' or '(x + sum)', which is x - s
+        for s = -sum; None, reading nothing, at any other factor."""
+        kind, value, pos = self.peek()
+        if kind == "name" and value == "x":
+            self.i += 1
+            return self.ring.zero
+        if kind != "(" or self.tokens[self.i + 1][:2] != ("name", "x"):
+            return None
+        self.i += 2
+        s = self.ring.zero
+        while self.at_op("+-"):
+            add = self.ring.add if self.next()[1] == "-" else self.ring.sub
+            s = add(s, self.element(self.product(), pos))
+        if not self.skip(")"):
+            raise ParseError("expected (x - <section>)", self.text, pos)
+        return s
+
+    def factored(self):
+        """The product of the constant factors (None if there is none) and
+        the (s, n) of the linear factors (x - s)^n."""
+        constant, factors, star = None, [], self.peek()[2]
+        while True:
+            kind, _, pos = self.peek()
+            if kind in ("end", "*"):  # at the '*' that lacks this operand
+                raise ParseError("empty factor", self.text, star if kind == "end" else pos)
+            s = self.linear()
+            if s is not None:
+                factors.append((s, self.exponent() if self.skip("^") else 1))
+            else:
+                value = self.unary()
+                while self.skip("/"):
+                    value = value * self.unary().inverse()
+                constant = value if constant is None else constant * value
+            star = self.peek()[2]
+            if not self.skip("*"):
+                return constant, factors
+
+    def rational_function(self):
+        start = self.peek()[2]
+        constant, factors = self.factored()
+        while self.at_op("+-"):
+            _, op, pos = self.next()
+            rhs, more = self.factored()
+            if factors or more:
+                raise ParseError("a sum around a linear factor", self.text, pos)
+            constant = constant + rhs if op == "+" else constant - rhs
+        self.finish()
+        return self.ring.one if constant is None else self.element(constant, start), factors
+
+    def terms(self, markers: tuple):
+        """(start, sign, coefficient or None, differential) per form term;
+        the caller reads what follows the differential."""
+        start = self.peek()[2]
+        missing = f"term has no {'/'.join(markers)} marker"
+        while True:
+            sign = 1
+            while self.at_op("+-"):
+                sign = -sign if self.next()[1] == "-" else sign
+            coeff = None if self.differential(self.i) else self.product()
+            starred = coeff is None or self.skip("*")  # the product stopped before d<letter>
+            name = self.next()[1]
+            if not starred or name not in markers:
+                raise ParseError(missing, self.text, start)
+            yield start, sign, coeff, name
+            kind, _, start = self.peek()
+            if kind == "end":
+                return
+            if kind not in ("+", "-"):
+                raise ParseError("trailing input", self.text, start)
+            if kind == "+":
+                self.i += 1
+                start = self.peek()[2]
+
+    def mhat(self):
+        """(exponent, unit) of x^e * product, or (0, unit) of a unit sum."""
+        if self.tokens[0][:2] == ("name", "x"):
+            self.i = 1
+            exponent = self.exponent() if self.skip("^") else 1
+            if self.skip("*"):
+                unit = self.product()
+                if self.peek()[0] == "end":
+                    return exponent, unit
+            self.i = 0
+        return 0, self.parse()
 
 
 def _generator_variables(ring: Ring) -> dict:
@@ -208,173 +312,59 @@ def _generator_variables(ring: Ring) -> dict:
     return {ring.gen: LaurentSeries.constant(ring, ring.generator())}
 
 
+def _series_variables(ring: Ring, var: str) -> dict:
+    return {var: LaurentSeries.t_power(ring, 1), **_generator_variables(ring)}
+
+
 def parse_series(ring: Ring, text: str, var: str = "t") -> LaurentSeries:
-    variables = {var: LaurentSeries.t_power(ring, 1), **_generator_variables(ring)}
-    return _ExpressionParser(text, ring, variables).parse()
+    return _ExpressionParser(text, ring, _series_variables(ring, var)).parse()
 
 
 def parse_element(ring: Ring, text: str):
-    value = _ExpressionParser(text, ring, _generator_variables(ring)).parse()
-    if value.is_zero_series and value.prec == INF:
-        return ring.zero
-    if value.ell != 0 or len(value.coeffs) != 1 or value.prec != INF:
-        raise ParseError(f"{text!r} is not a ring element")
-    return value.coeff(0)
-
-
-def _split_top_level(text: str, seps: str):
-    """Split on separators outside parentheses, keeping each piece's sign.
-
-    Returns (piece, position) pairs, the position being where the piece
-    starts in ``text``.  A sign directly following '^' belongs to an
-    exponent and never splits.  '*' is binary: the pieces around each one
-    are kept, empty or not; an empty piece is placed at the '*' that lacks
-    its operand, the one after it or, for the last piece, the one before.
-    """
-    parts = []
-    depth = 0
-    start = 0
-    prev = ""
-
-    def cut(stop, star):
-        body = text[start:stop]
-        piece = body.strip()
-        parts.append((piece, start + len(body) - len(body.lstrip()) if piece else star))
-
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced parentheses", text, i)
-        elif depth == 0 and ch in seps and prev != "^":
-            if i > start or ch == "*":
-                cut(i, i)
-                start = i if ch == "-" else i + 1
-            elif ch == "+":
-                start = i + 1
-        if not ch.isspace():
-            prev = ch
-    if depth != 0:
-        raise ParseError("unbalanced parentheses", text, len(text))
-    if text[start:].strip() or "*" in seps:
-        cut(len(text), max(start - 1, 0))
-    return parts
-
-
-def _strip_signs(term: str):
-    """(sign, body): the leading '+'/'-' signs of a term folded into +-1."""
-    sign = 1
-    body = term
-    while body and body[0] in "+-":
-        if body[0] == "-":
-            sign = -sign
-        body = body[1:].strip()
-    return sign, body
-
-
-_FACTOR = re.compile(r"^\((.*)\)(?:\^(-?\d+))?$", re.S)
+    parser = _ExpressionParser(text, ring, _generator_variables(ring))
+    return parser.element(parser.parse(), 0)
 
 
 def parse_rational_function(ring: Ring, text: str):
     """Factored products c * (x - s)^n * ...; bare 'x' means (x - 0)."""
     from .projline import SplitRationalFunction
 
-    constant = ring.one
-    factors = []
-    for piece, at in _split_top_level(text, "*"):
-        if not piece:
-            raise ParseError("empty factor", text, at)
-        m = re.match(r"^x(?:\^(-?\d+))?$", piece)
-        if m:
-            factors.append((ring.zero, int(m.group(1) or 1)))
-            continue
-        m = _FACTOR.match(piece)
-        if m and m.group(1).strip().startswith("x"):
-            inner = m.group(1).strip()
-            n = int(m.group(2) or 1)
-            body = inner[1:].strip()
-            if not body:
-                factors.append((ring.zero, n))
-                continue
-            if body[0] not in "+-":
-                raise ParseError(f"expected x - <section> in {piece!r}", text, at)
-            sec = parse_element(ring, body[1:])
-            if body[0] == "-":
-                factors.append((sec, n))
-            else:
-                factors.append((ring.neg(sec), n))
-            continue
-        constant = ring.mul(constant, parse_element(ring, piece))
+    parser = _ExpressionParser(text, ring, _generator_variables(ring))
+    constant, factors = parser.rational_function()
     return SplitRationalFunction(ring, constant, factors)
-
-
-_MHAT = re.compile(r"^\s*x(?:\^(-?\d+))?\s*\*\s*\((.*)\)\s*$", re.S)
 
 
 def parse_mhat(ring: Ring, text: str):
     """x^e * (series in z); a bare series means exponent zero."""
     from .symbols import MHatElement
 
-    m = _MHAT.match(text)
-    if m:
-        exponent = int(m.group(1) or 1)
-        unit = parse_series(ring, m.group(2), var="z")
-        return MHatElement(ring, exponent, unit)
-    body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-    return MHatElement(ring, 0, parse_series(ring, body, var="z"))
+    exponent, unit = _ExpressionParser(text, ring, _series_variables(ring, "z")).mhat()
+    return MHatElement(ring, exponent, unit)
 
 
 def parse_form(ring: Ring, text: str, var: str = "t"):
     """A one-form 'f*dt + g*de' or a two-form 'h*de^dt'."""
     from .forms import OneForm, TwoForm
 
-    gen = ring.gen
-    dt_part = LaurentSeries.zero(ring)
-    de_part = LaurentSeries.zero(ring)
-    h_part = LaurentSeries.zero(ring)
-    saw_two = False
-    saw_one = False
-    for term, at in _split_top_level(text, "+-"):
-        sign, body = _strip_signs(term)
-        for marker, slot in (
-            (f"*d{gen}^d{var}", "h"),
-            (f"*d{var}", "dt"),
-            (f"*d{gen}", "de"),
-        ):
-            if body.endswith(marker):
-                coeff = parse_series(ring, body[: -len(marker)], var=var)
-                break
-        else:
-            if body in (f"d{var}", f"d{gen}", f"d{gen}^d{var}"):
-                coeff = LaurentSeries.one(ring)
-                slot = {"d" + var: "dt", "d" + gen: "de"}.get(body, "h")
-            else:
-                raise ParseError(f"term {term!r} has no d{var}/d{gen} marker", text, at)
-        if sign < 0:
-            coeff = -coeff
-        if slot == "h":
-            h_part = h_part + coeff
-            saw_two = True
-        elif slot == "dt":
-            dt_part = dt_part + coeff
-            saw_one = True
-        else:
-            de_part = de_part + coeff
-            saw_one = True
-    if saw_two and saw_one:
-        raise ParseError("mixed one-form and two-form terms", text, 0)
-    if saw_two:
-        return TwoForm(h_part)
-    return OneForm(dt_part, de_part)
-
-
-_POLE_TERM = re.compile(r"^(?:(?P<coeff>.+?)\*)?d(?P<gen>[a-z])(?P<rest>.*)$", re.S)
-_POLE_REST = re.compile(r"^/\s*\(\s*x\s*-\s*(?P<sec>.+?)\s*\)(?:\^(?P<k>\d+))?$", re.S)
-_TAIL_REST = re.compile(r"^\*\s*x(?:\^(?P<j>\d+))?$", re.S)
+    dvar, dgen = "d" + var, "d" + ring.gen
+    parser = _ExpressionParser(text, ring, _series_variables(ring, var), forms=True)
+    parts = {slot: LaurentSeries.zero(ring) for slot in ("dt", "de", "h")}
+    seen = set()
+    for _, sign, coeff, name in parser.terms((dvar, dgen)):
+        slot = "dt" if name == dvar else "de"
+        if name == dgen and parser.skip("^"):
+            _, value, pos = parser.next()
+            if value != dvar:
+                raise ParseError(f"expected {dvar!r}", text, pos)
+            slot = "h"
+        coeff = LaurentSeries.one(ring) if coeff is None else coeff
+        parts[slot] = parts[slot] + (-coeff if sign < 0 else coeff)
+        seen.add(slot)
+    if "h" in seen:
+        if len(seen) > 1:
+            raise ParseError("mixed one-form and two-form terms", text, 0)
+        return TwoForm(parts["h"])
+    return OneForm(parts["dt"], parts["de"])
 
 
 def parse_global_two_form(ring: Ring, text: str):
@@ -382,39 +372,26 @@ def parse_global_two_form(ring: Ring, text: str):
     from .forms import AOneForm
     from .projline import GlobalTwoForm
 
-    gen = ring.gen
-    poles: dict = {}
-    tail: dict = {}
-    for term, at in _split_top_level(text, "+-"):
-        sign, body = _strip_signs(term)
-        m = _POLE_TERM.match(body)
-        if not m or m.group("gen") != gen:
-            raise ParseError(f"term {term!r} lacks a d{gen} marker", text, at)
-        coeff = parse_element(ring, m.group("coeff") or "1")
-        if sign < 0:
-            coeff = ring.neg(coeff)
-        rest = m.group("rest").strip()
-        if not rest:
-            tail[0] = ring.add(tail.get(0, ring.zero), coeff)
-            continue
-        pm = _POLE_REST.match(rest)
-        if pm:
-            sec = parse_element(ring, pm.group("sec"))
-            k = int(pm.group("k") or 1)
+    parser = _ExpressionParser(text, ring, _generator_variables(ring), forms=True)
+    poles, tail = {}, {}
+    for start, sign, coeff, _ in parser.terms(("d" + ring.gen,)):
+        c = ring.one if coeff is None else parser.element(coeff, start)
+        c = ring.neg(c) if sign < 0 else c
+        if parser.skip("/"):
+            sec = parser.linear()
+            if sec is None:
+                raise ParseError("expected a pole 1/(x - s)^k", text, start)
+            k = parser.exponent() if parser.skip("^") else 1
             slot = poles.setdefault(sec, {})
-            slot[k] = ring.add(slot.get(k, ring.zero), coeff)
+            slot[k] = ring.add(slot.get(k, ring.zero), c)
             continue
-        tm = _TAIL_REST.match(rest)
-        if tm:
-            j = int(tm.group("j") or 1)
-            tail[j] = ring.add(tail.get(j, ring.zero), coeff)
-            continue
-        raise ParseError(f"cannot read pole/tail part {rest!r}", text, at)
-    pole_forms = {
-        v: {k: AOneForm(ring, c) for k, c in parts.items()} for v, parts in poles.items()
-    }
-    jmax = max(tail) if tail else -1
-    tail_forms = tuple(
-        AOneForm(ring, tail.get(j, ring.zero)) for j in range(jmax + 1)
-    )
+        j = 0
+        if parser.skip("*"):
+            value = parser.next()[1]
+            j = parser.exponent() if value == "x" and parser.skip("^") else 1
+            if value != "x" or j < 0:
+                raise ParseError("expected a tail power x^j, j >= 0", text, start)
+        tail[j] = ring.add(tail.get(j, ring.zero), c)
+    pole_forms = {v: {k: AOneForm(ring, c) for k, c in ks.items()} for v, ks in poles.items()}
+    tail_forms = [AOneForm(ring, tail.get(j, ring.zero)) for j in range(max(tail, default=-1) + 1)]
     return GlobalTwoForm(ring, pole_forms, tail_forms)

@@ -114,14 +114,19 @@ class SplitRationalFunction:
         return acc
 
     def format(self) -> str:
-        ring = self.ring
+        """Text parse_rational_function reads back: a value of several terms is parenthesized."""
+
+        def grouped(c) -> str:
+            text = self.ring.format_element(c)
+            return f"({text})" if any(ch in "+-" for ch in text[1:]) else text
+
         parts = []
-        cs = ring.format_element(self.constant)
+        cs = grouped(self.constant)
         if cs != "1" or not self.factors:
             parts.append(cs)
         for s, n in self.factors.items():
-            ss = ring.format_element(s)
-            base = f"(x - {ss})" if not ss.startswith("-") else f"(x + {ss[1:]})"
+            ss = grouped(s)
+            base = f"(x + {ss[1:]})" if ss.startswith("-") else f"(x - {ss})"
             parts.append(base if n == 1 else f"{base}^{n}")
         return " * ".join(parts)
 

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from ccsym.cli import run_command
 
 
@@ -208,3 +210,19 @@ def test_verify_dlog_square_reports_violation(monkeypatch):
 def test_uniformizer_invariance_suite_seed_5():
     code, out = run(["suite", "uniformizer-invariance", "--cases", "100", "--seed", "5"])
     assert code == 0 and out.strip().endswith("PASS")
+
+
+def test_negative_tprec_exit_code(capsys):
+    code, out = run(["symbol", "cc", "--ring", "F5", "--f", "1+t", "--g", "2", "--tprec", "-3"])
+    assert code == 2 and out == ""
+    assert "--tprec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("law", ["reciprocity-ar", "weil"])
+def test_report_inputs_replay(law):
+    code, out = run(["suite", law, "--cases", "12", "--seed", "1", "--format", "json"])
+    assert code == 0
+    for case in json.loads(out)["cases"]:
+        given = case["inputs"]
+        argv = ["verify", law, "--ring", given["ring"], "--f=" + given["f"], "--g=" + given["g"]]
+        assert run(argv)[0] == 0, given

@@ -185,3 +185,20 @@ def test_library_reads_no_environment(path):
     # never knobs read from the environment
     found = _environment_reads(ast.parse(path.read_text(), str(path)))
     assert not found, f"{path.name}: {found}"
+
+
+def test_parse_errors_carry_a_position():
+    # outside ring specs, every ParseError names the text and a position in it
+    tree = ast.parse((SOURCES[0].parent / "parsing.py").read_text())
+    ring_spec = next(n for n in tree.body if getattr(n, "name", None) == "parse_ring")
+    exempt = {id(n) for n in ast.walk(ring_spec)}
+    raised = [
+        node.exc
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and _name(node.exc) == "ParseError"
+        and id(node) not in exempt
+    ]
+    found = [(c.lineno, ast.unparse(c)) for c in raised if len(c.args) + len(c.keywords) < 3]
+    assert raised
+    assert not found, found

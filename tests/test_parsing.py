@@ -1,5 +1,7 @@
-import pytest
+import random
 from fractions import Fraction
+
+import pytest
 
 from ccsym.errors import ParseError
 from ccsym.forms import OneForm, TwoForm, res2
@@ -12,7 +14,9 @@ from ccsym.parsing import (
     parse_ring,
     parse_series,
 )
-from ccsym.series import INF
+from ccsym.projline import GlobalTwoForm, SplitRationalFunction
+from ccsym.randgen import draw_split_pair
+from ccsym.series import INF, LaurentSeries
 
 
 @pytest.mark.parametrize(
@@ -194,3 +198,65 @@ def test_term_error_positions(parse, text, pos):
     with pytest.raises(ParseError) as info:
         parse(parse_ring("F3[e]/(e^2)"), text)
     assert info.value.pos == pos
+
+
+def _plain(parsed):
+    """What a parse gave, as plain data."""
+    if isinstance(parsed, SplitRationalFunction):
+        return parsed.constant, parsed.factors
+    if isinstance(parsed, GlobalTwoForm):
+        poles = {s: {k: w.coeff for k, w in ks.items()} for s, ks in parsed.poles.items()}
+        return poles, [w.coeff for w in parsed.tail]
+    if isinstance(parsed, OneForm):
+        return parsed.dt, parsed.de
+    return parsed.exponent, parsed.unit
+
+
+def _unit(A, coeffs):
+    return LaurentSeries.from_terms(A, {i: A.from_int(c) for i, c in enumerate(coeffs)})
+
+
+@pytest.mark.parametrize(
+    "parse,spec,text,want",
+    [
+        # the sign covers 1 alone: x - (1 - e)
+        (parse_rational_function, "F3[e]/(e^2)", "(x - 1 + e)",
+         lambda A, e: (A.one, {A.sub(A.one, e): 1})),
+        # a sum around a linear factor is refused at its sign
+        (parse_rational_function, "F3[e]/(e^2)", "2 + e * (x - 1)", (ParseError, 2)),
+        (parse_rational_function, "F3[e]/(e^2)", "1+2*e * (x - 2+2*e)^-3", (ParseError, 1)),
+        # positions are in the whole text, not in a piece of it
+        (parse_rational_function, "F3[e]/(e^2)", "(x - 1) * (x - 1+q)", (ParseError, 17)),
+        (parse_global_two_form, "F3[e]/(e^2)", "de/(x + 1)",
+         lambda A, e: ({A.neg(A.one): {1: A.one}}, [])),
+        (parse_global_two_form, "F3[e]/(e^2)", "de/x", lambda A, e: ({A.zero: {1: A.one}}, [])),
+        (parse_form, "F3[e]/(e^2)", "t*dt + -t*dt", lambda A, e: (LaurentSeries.zero(A),) * 2),
+        (parse_mhat, "F5[x]/(x^3)", "(1+z)*(2+z)", lambda A, x: (0, _unit(A, [2, 3, 1]))),
+        (parse_mhat, "F5[x]/(x^3)", "x^2 * (1+z)*(2+z)", lambda A, x: (2, _unit(A, [2, 3, 1]))),
+    ],
+)
+def test_one_grammar_reads_each_text_whole(parse, spec, text, want):
+    ring = parse_ring(spec)
+    if isinstance(want, tuple):
+        with pytest.raises(want[0]) as info:
+            parse(ring, text)
+        assert info.value.pos == want[1]
+    else:
+        assert _plain(parse(ring, text)) == want(ring, ring.generator())
+
+
+# the default rings of the reciprocity-ar and weil suites, and Q[e]/(e^3)
+ROUND_TRIP_RINGS = [
+    "F3[e]/(e^2)", "F5[e]/(e^2)", "F3[e]/(e^3)", "F7[e]/(e^2)", "F2[e]/(e^2)",
+    "Z/4", "Z/9", "Z/25", "Q[e]/(e^2)", "F3", "F5", "F7", "Q", "Q[e]/(e^3)",
+]
+
+
+@pytest.mark.parametrize("spec", ROUND_TRIP_RINGS)
+def test_rational_function_format_reads_back(spec):
+    ring = parse_ring(spec)
+    rng = random.Random(7)
+    for _ in range(150):
+        for f in draw_split_pair(ring, rng):
+            back = parse_rational_function(ring, f.format())
+            assert (back.constant, back.factors) == (f.constant, f.factors), f.format()

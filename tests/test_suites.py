@@ -25,7 +25,7 @@ DIGESTS = {
     "dlog-square": "ebfdd5104a5e903fa0ea73da51263864e8f77e8bca03f009e5c1636d360c673b",
     "bilinearity-steinberg": "056338f779f8e1163a4b8b44e6ac7af8020a866053ced20b2b2c586fb0cc1617",
     "uniformizer-invariance": "676b220078463f6296360d8d38bbf671a9e8e80e175e33ef1798c39a5f8055bb",
-    "reciprocity-ar": "619cfa19073bb44b5aa6643614ae0300d7b470b0853bb6a6ac844f13d4c80776",
+    "reciprocity-ar": "8ab370254326c6b8975e710bb00674c9b11f889e84e2e2c89a24a233507c7312",
     "weil": "e7f11aa8804e038efa1941ed308c0ff0f5ac1498292254c00d631476fb275b54",
     "residue-sum": "eecf5a4c6860e6d28548da69536a9034f949d4d2109b0502b300bed4edc89d96",
     "decompose-roundtrip": "455d4395ba4b236658b0ab63f7b1274455961418bb68c44f3a1cee868d69174d",
