@@ -275,10 +275,10 @@ class GlobalTwoForm:
         self.ring = ring
         self.poles = {}
         for value, parts in (poles or {}).items():
+            # every written order is checked, a zero coefficient's too
+            if any(int(k) < 1 for k in parts):
+                raise CCSymError("pole orders must be >= 1")
             clean = {int(k): c for k, c in parts.items() if not c.is_zero()}
-            for k in clean:
-                if k < 1:
-                    raise CCSymError("pole orders must be >= 1")
             if clean:
                 self.poles[value] = clean
         self.tail = tuple(tail)

@@ -195,6 +195,15 @@ def test_zero_pole_order_exit_code():
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize(
+    "text", ["de/(x - 1)^-2", "0*de/(x - 1)^-2 + de/(x-2) - de/(x-2)", "0*de/(x - 1)^0"]
+)
+def test_pole_order_below_one_exit_code(text, capsys):
+    code, out = run(["verify", "residue-sum", "--ring", "F3[e]/(e^2)", "--f", text])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: pole orders must be >= 1\n"
+
+
 def test_verify_dlog_square_reports_violation(monkeypatch):
     import ccsym.forms
 

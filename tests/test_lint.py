@@ -202,3 +202,47 @@ def test_parse_errors_carry_a_position():
     found = [(c.lineno, ast.unparse(c)) for c in raised if len(c.args) + len(c.keywords) < 3]
     assert raised
     assert not found, found
+
+
+CODE_BUILDERS = {"exec", "eval", "compile"}
+
+
+def _code_builders(tree, allowed=()):
+    """(line, name) of each exec/eval/compile outside the functions named in allowed."""
+    exempt = {
+        id(n)
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef) and f.name in allowed
+        for n in ast.walk(f)
+    }
+    return [
+        (node.lineno, node.id)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id in CODE_BUILDERS and id(node) not in exempt
+    ]
+
+
+def test_code_builders_are_flagged():
+    snippet = "exec(s)\nf = eval\ncompile(s, 'x', 'exec')\ndef _kernels():\n    exec(t)\n"
+    found = _code_builders(ast.parse(snippet), allowed=("_kernels",))
+    assert sorted(line for line, _ in found) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_generated_code_stays_in_the_kernel_factory(path):
+    # ring specs are outside input: only rings._kernels runs generated text,
+    # and it builds that text from int p and m
+    allowed = ("_kernels",) if path.name == "rings.py" else ()
+    found = _code_builders(ast.parse(path.read_text(), str(path)), allowed)
+    assert not found, f"{path.name}: {found}"
+
+
+def test_kernel_factory_takes_ints_only():
+    from ccsym.rings import STRAIGHT_LINE_ORDER, _kernels
+
+    for p, m in (("3", 2), (3, "2"), (3.0, 2), (3, "2); import os; (")):
+        with pytest.raises(TypeError):
+            _kernels(p, m)
+    assert _kernels(3, STRAIGHT_LINE_ORDER + 1) == {}
+    assert set(_kernels(3, 2)) == {"add", "sub", "neg", "mul", "dot"}
+    assert set(_kernels(0, 2)) == {"mul"}

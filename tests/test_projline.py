@@ -372,3 +372,12 @@ def test_checks_expand_charts_without_series_powers(monkeypatch):
     )
     assert residue_sum_check(omega).passed
     assert calls[0] > 0 and slips == []
+
+
+@pytest.mark.parametrize("order", [0, -2])
+def test_global_two_form_checks_orders_of_zero_terms(order):
+    zero = AOneForm(A2, A2.zero)
+    with pytest.raises(CCSymError, match="pole orders must be >= 1"):
+        GlobalTwoForm(A2, poles={A2.one: {order: zero, 1: AOneForm(A2, A2.one)}})
+    with pytest.raises(CCSymError, match="pole orders must be >= 1"):
+        GlobalTwoForm(A2, poles={A2.one: {order: zero}})

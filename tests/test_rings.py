@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from ccsym.errors import (
 )
 from ccsym.parsing import parse_element, parse_ring
 from ccsym.rings import (
+    STRAIGHT_LINE_ORDER,
     IntegersModPrimePower,
     PrimeField,
     RationalField,
@@ -332,3 +334,79 @@ def test_pow_of_a_power_of_two_squares_only():
         ring.products = 0
         ring.pow(x, 2**k)
         assert ring.products == k
+
+
+# -- straight-line kernels against a plain convolution ----------------------
+
+
+def _convolution(xs, ys, m):
+    """The first m coefficients of the product of the coefficient lists xs, ys."""
+    return [sum(xs[i] * ys[k - i] for i in range(k + 1)) for k in range(m)]
+
+
+def _reference(ring):
+    """add, sub, neg and mul of ring on base-field coefficients, by the book."""
+    m, read, make = ring.order, ring.coefficients, ring.from_coefficients
+    p = ring.characteristic
+
+    def reduce(cs):
+        return make([c % p for c in cs] if p else cs)
+
+    return {
+        "add": lambda x, y: reduce([a + b for a, b in zip(read(x), read(y))]),
+        "sub": lambda x, y: reduce([a - b for a, b in zip(read(x), read(y))]),
+        "neg": lambda x: reduce([-a for a in read(x)]),
+        "mul": lambda x, y: reduce(_convolution(read(x), read(y), m)),
+    }
+
+
+def _check_against_reference(ring, pairs):
+    ref = _reference(ring)
+    for x, y in pairs:
+        for name in ("add", "sub", "mul"):
+            assert getattr(ring, name)(x, y) == ref[name](x, y), (str(ring), name, x, y)
+        assert ring.neg(x) == ref["neg"](x), (str(ring), x)
+
+
+@pytest.mark.parametrize("spec", ["F2[e]/(e^3)", "F3[e]/(e^2)"])
+def test_kernels_on_every_pair(spec):
+    ring = parse_ring(spec)
+    elements = list(ring.iter_elements())
+    _check_against_reference(ring, [(x, y) for x in elements for y in elements])
+
+
+BOUND = STRAIGHT_LINE_ORDER
+
+
+@pytest.mark.parametrize(
+    "base, order",
+    [(b, m) for b in (PrimeField(2), PrimeField(7)) for m in (1, 4, BOUND, BOUND + 1)]
+    + [(Q, m) for m in (2, 3, 4, BOUND, BOUND + 1)],
+    ids=str,
+)
+def test_kernels_on_random_pairs(base, order):
+    ring = TruncatedPolynomialRing(base, "e", order)
+    # kernels exist up to the bound; above it the class's loops run
+    assert ("mul" in vars(ring)) == (order <= BOUND)
+    rng = random.Random(f"kernels:{ring}")
+    draws = [ring.random_element, ring.random_unit, ring.random_nilpotent]
+    pairs = [(rng.choice(draws)(rng), rng.choice(draws)(rng)) for _ in range(60)]
+    _check_against_reference(ring, pairs)
+    for n in (0, 1, 5):
+        xs, ys = [p[0] for p in pairs[:n]], [p[1] for p in pairs[:n]]
+        total = ring.zero
+        for x, y in zip(xs, ys):
+            total = ring.add(total, ring.mul(x, y))
+        assert ring.dot(xs, ys) == total
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["F3[e]/(e^2)", "F2[e]/(e^33)", "Z/25", "F5", "Q", "Q[e]/(e^3)", "Q[e]/(e^33)"],
+)
+def test_every_ring_layout_pickles(spec):
+    ring = parse_ring(spec)
+    copy = pickle.loads(pickle.dumps(ring))
+    assert copy == ring and type(copy) is type(ring)
+    x = ring.random_unit(random.Random(spec))
+    assert copy.mul(x, copy.inv(x)) == copy.one
