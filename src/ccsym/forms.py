@@ -16,7 +16,7 @@ the one any of the residue identities are about.
 from __future__ import annotations
 
 from .errors import IdentityViolated, MixedRings, UnsupportedRing
-from .rings import Ring, RingMap
+from .rings import Ring, RingMap, format_sum
 from .series import DEFAULT_PRECISION, INF, LaurentSeries, _split_unit
 from .symbols import MHatElement, contou_carrere, kato_residue
 
@@ -101,14 +101,8 @@ class AOneForm:
         return hash((self.ring, self.coeff))
 
     def format(self) -> str:
-        gen = self.ring.gen
-        if self.ring.is_zero(self.coeff):
-            return "0"
-        cs = self.ring.format_element(self.coeff)
-        if cs == "1":
-            return f"d{gen}"
-        wrap = "+" in cs or "-" in cs[1:]
-        return f"({cs})*d{gen}" if wrap else f"{cs}*d{gen}"
+        """The one term c*de by format_sum: ``de``, ``-de``, ``(1+e)*de``, ``0``."""
+        return format_sum([(self.ring.format_element(self.coeff), "d" + self.ring.gen)])
 
     def __repr__(self):
         return f"AOneForm({self.ring}, {self.format()})"

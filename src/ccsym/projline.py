@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedRing,
 )
 from .forms import AOneForm, TwoForm, res2
-from .rings import Ring
+from .rings import Ring, format_power, format_sum, grouped
 from .series import INF, LaurentSeries
 from .symbols import contou_carrere
 
@@ -115,23 +115,22 @@ class SplitRationalFunction:
 
     def format(self) -> str:
         """Text parse_rational_function reads back: a value of several terms is parenthesized."""
-
-        def grouped(c) -> str:
-            text = self.ring.format_element(c)
-            return f"({text})" if any(ch in "+-" for ch in text[1:]) else text
-
         parts = []
-        cs = grouped(self.constant)
+        cs = grouped(self.ring.format_element(self.constant))
         if cs != "1" or not self.factors:
             parts.append(cs)
-        for s, n in self.factors.items():
-            ss = grouped(s)
-            base = f"(x + {ss[1:]})" if ss.startswith("-") else f"(x - {ss})"
-            parts.append(base if n == 1 else f"{base}^{n}")
+        parts.extend(_linear_text(self.ring, s, n) for s, n in self.factors.items())
         return " * ".join(parts)
 
     def __repr__(self):
         return f"SplitRationalFunction({self.ring}, {self.format()})"
+
+
+def _linear_text(ring: Ring, s, n: int) -> str:
+    """(x - s)^n as the parser reads it, (x + a) for s = -a."""
+    ss = grouped(ring.format_element(s))
+    base = f"(x + {ss[1:]})" if ss.startswith("-") else f"(x - {ss})"
+    return format_power(base, n)
 
 
 def _linear_power(ring: Ring, s, n: int, point: SectionPoint, rel_prec: int) -> LaurentSeries:
@@ -310,6 +309,20 @@ class GlobalTwoForm:
     def residue_at_section(self, point: SectionPoint, prec: int = 8) -> AOneForm:
         """res2 of the local expansion; independent of the chart coordinate."""
         return res2(self.local_expansion(point, prec))
+
+    def format(self) -> str:
+        """Text parse_global_two_form reads back: the sum by format_sum of the
+        terms c*de/(x - s)^k and c*de*x^j, or 0*de when there is none."""
+        de, fmt = "d" + self.ring.gen, self.ring.format_element
+        terms = [
+            (fmt(c.coeff), f"{de}/{_linear_text(self.ring, v, k)}")
+            for v, parts in self.poles.items()
+            for k, c in parts.items()
+        ]
+        for j, c in enumerate(self.tail):
+            terms.append((fmt(c.coeff), f"{de}*{format_power('x', j)}" if j else de))
+        text = format_sum(terms)
+        return f"0*{de}" if text == "0" else text
 
 
 def residue_sum_check(omega: GlobalTwoForm) -> ReciprocityResult:

@@ -163,6 +163,32 @@ class Ring:
         return self.__str__()
 
 
+def format_power(var: str, i: int) -> str:
+    """The monomial var^i as printed: empty at i = 0, var at i = 1."""
+    return "" if i == 0 else var if i == 1 else f"{var}^{i}"
+
+
+def grouped(text: str) -> str:
+    """text, parenthesized when a sign after its first character makes it a sum."""
+    return f"({text})" if "+" in text or "-" in text[1:] else text
+
+
+def format_sum(terms) -> str:
+    """The one printer of a sum of (coefficient text, monomial) terms: a 0 is
+    dropped; before a monomial, 1 or -1 prints as its sign alone and a sum is
+    parenthesized (e, -e, 2*e, (1+e)*t); terms join by + unless one starts
+    with -; no term prints 0."""
+    parts = []
+    for cs, mono in terms:
+        if cs == "0":
+            continue
+        if mono:
+            cs = cs[:-1] if cs in ("1", "-1") else grouped(cs) + "*"
+        term = cs + mono
+        parts.append(term if not parts or term.startswith("-") else "+" + term)
+    return "".join(parts) or "0"
+
+
 def _least_factor(n: int) -> int:
     """The least prime factor of n >= 2 (n itself when n is prime)."""
     return next((q for q in range(2, isqrt(n) + 1) if n % q == 0), n)
@@ -645,23 +671,11 @@ class TruncatedPolynomialRing(Ring):
         return map(self.from_coefficients, itertools.product(*pools))
 
     def format_element(self, x):
-        base = self.base
-        parts = []
-        for i, c in enumerate(self.coefficients(x)):
-            if base.is_zero(c):
-                continue
-            cs = base.format_element(c)
-            if i == 0:
-                parts.append(cs)
-            else:
-                var = self.gen if i == 1 else f"{self.gen}^{i}"
-                parts.append(var if cs == "1" else f"{cs}*{var}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for part in parts[1:]:
-            out += part if part.startswith("-") else "+" + part
-        return out
+        """The sum of c_i*e^i by format_sum: ``1+2*e^2``, ``1-e``, ``-1/2*e``."""
+        fmt = self.base.format_element
+        return format_sum(
+            (fmt(c), format_power(self.gen, i)) for i, c in enumerate(self.coefficients(x))
+        )
 
     def __str__(self):
         return f"{self.base}[{self.gen}]/({self.gen}^{self.order})"

@@ -33,7 +33,7 @@ from .errors import (
     NonUnit,
     NotAUniformizer,
 )
-from .rings import Ring, RingMap
+from .rings import Ring, RingMap, format_power, format_sum
 
 INF = float("inf")
 
@@ -338,35 +338,13 @@ class LaurentSeries:
         return True
 
     def format(self, var: str = "t") -> str:
-        ring = self.ring
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if ring.is_zero(c):
-                continue
-            idx = self.ell + i
-            cs = ring.format_element(c)
-            wrap = ("+" in cs) or ("-" in cs[1:])
-            if idx == 0:
-                term = cs
-            else:
-                pw = var if idx == 1 else f"{var}^{idx}"
-                if cs == "1":
-                    term = pw
-                elif cs == "-1":
-                    term = f"-{pw}"
-                else:
-                    term = f"({cs})*{pw}" if wrap else f"{cs}*{pw}"
-            parts.append(term)
-        if not parts:
-            body = "0"
-        else:
-            body = parts[0]
-            for part in parts[1:]:
-                body += part if part.startswith("-") else "+" + part
-        if self.prec == INF:
-            return body
-        tail = f"O({var}^{self.prec})"
-        return tail if body == "0" else f"{body}+{tail}"
+        """The sum of c_i*var^i by format_sum, then +O(var^prec) when the
+        series is not exact: ``-t^-1+(1+e)*t+O(t^4)``; no term prints 0."""
+        fmt = self.ring.format_element
+        terms = [(fmt(c), format_power(var, self.ell + i)) for i, c in enumerate(self.coeffs)]
+        if self.prec != INF:
+            terms.append((f"O({var}^{self.prec})", ""))
+        return format_sum(terms)
 
     def __str__(self):
         return self.format()

@@ -14,6 +14,7 @@ in index order and each draws after every case before it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
@@ -112,14 +113,15 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _cases(config: SuiteConfig, defaults, case) -> list[CaseRecord]:
-    """The one case loop: case(ring, idx) for every idx < config.cases."""
+def _cases(config: SuiteConfig, defaults, case, more=()) -> list[CaseRecord]:
+    """The one case loop: case(ring, idx) for every idx < config.cases, then
+    the (inputs, expected, actual) of more, numbered on from config.cases."""
     rings = [parse_ring(s) for s in config.rings or defaults]
-    out = []
-    for idx in range(config.cases):
-        inputs, expected, actual = case(rings[idx % len(rings)], idx)
-        out.append(CaseRecord(idx, inputs, expected, actual, expected == actual))
-    return out
+    drawn = (case(rings[idx % len(rings)], idx) for idx in range(config.cases))
+    return [
+        CaseRecord(idx, inputs, expected, actual, expected == actual)
+        for idx, (inputs, expected, actual) in enumerate(itertools.chain(drawn, more))
+    ]
 
 
 def _level_mismatch(symbol, f: MHatElement, g: MHatElement, top: int):
@@ -290,15 +292,14 @@ def suite_dlog_square(config: SuiteConfig, rng) -> list[CaseRecord]:
         square = _square_case_level if ring.x_level else _square_case_artinian
         return square(ring, rng)
 
-    return _cases(config, defaults, case) + closed_form_square_records(config, rng)
+    return _cases(config, defaults, case, _closed_form_squares(config, rng))
 
 
-def closed_form_square_records(config: SuiteConfig, rng) -> list[CaseRecord]:
-    """The seven sparse-shape identities of the residue square, n,m exhausted."""
+def _closed_form_squares(config: SuiteConfig, rng):
+    """(inputs, expected, actual) of the residue square's seven sparse shapes, n,m exhausted."""
     specs = config.rings or [f"F{p}[e]/(e^{m})" for p in (2, 3, 5) for m in (2, 3)]
     rings = [r for r in map(parse_ring, specs) if not r.is_field and r.has_section]
     bound = min(config.exponent_bound, 5)
-    out = []
     for ring in rings:
         M = ring.nilpotency_index
         exhaustive = list(ring.iter_elements()) if ring.characteristic == 2 and M <= 3 else None
@@ -318,9 +319,7 @@ def closed_form_square_records(config: SuiteConfig, rng) -> list[CaseRecord]:
                         expected, actual = want.format(), res2(dlog2(f, g)).format()
                         inputs = {"ring": str(ring), "identity": tag, "n": n, "m": m,
                                   "a": ring.format_element(a), "b": ring.format_element(b)}
-                        out.append(CaseRecord(len(out), inputs, expected, actual,
-                                              expected == actual))
-    return out
+                        yield inputs, expected, actual
 
 
 def _square_identities(ring, n, m, a, b, anil, bnil, M):
@@ -488,9 +487,9 @@ def suite_residue_sum(config: SuiteConfig, rng) -> list[CaseRecord]:
     def case(ring, idx):
         sections = draw_sections(ring, rng, rng.randint(1, 4))
         values = [AOneForm(ring, ring.random_element(rng)) for _ in sections]
-        inputs = {"ring": str(ring), "poles": str([ring.format_element(s) for s in sections])}
         if idx % 2 == 0:
             omega = GlobalTwoForm.simple_poles(ring, dict(zip(sections, values)))
+            inputs = {"ring": str(ring), "f": omega.format()}
             return inputs, "0", residue_sum_check(omega).product.format()
         total = AOneForm.zero(ring)
         for v in values:
@@ -499,6 +498,7 @@ def suite_residue_sum(config: SuiteConfig, rng) -> list[CaseRecord]:
         assignment[SectionPoint.infinity()] = -total
         omega = realize_residues(ring, assignment)
         ok = all(omega.residue_at_section(pt) == eta for pt, eta in assignment.items())
+        inputs = {"ring": str(ring), "f": omega.format()}
         return inputs, "roundtrip", "roundtrip" if ok else "mismatch"
 
     return _cases(config, ["F3[e]/(e^2)", "F2[e]/(e^2)", "F5[e]/(e^3)", "Q[e]/(e^2)"], case)

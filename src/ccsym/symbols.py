@@ -31,7 +31,7 @@ from .errors import (
     MixedRings,
     NonUnit,
 )
-from .rings import Ring, RingMap
+from .rings import Ring, RingMap, format_power
 from .series import DEFAULT_PRECISION, INF, LaurentSeries, _peel, _split_unit
 
 
@@ -218,11 +218,9 @@ class MHatElement:
         return MHatElement(h.target, self.exponent, self.unit.map_coefficients(h))
 
     def format(self) -> str:
-        body = self.unit.format(var="z")
-        if self.exponent == 0:
-            return f"({body})"
-        xe = "x" if self.exponent == 1 else f"x^{self.exponent}"
-        return f"{xe} * ({body})"
+        body = f"({self.unit.format(var='z')})"
+        xe = format_power("x", self.exponent)
+        return f"{xe} * {body}" if xe else body
 
     def __repr__(self):
         return f"MHatElement({self.ring}, {self.format()})"
@@ -270,9 +268,9 @@ class KatoValue:
 
     def format(self) -> str:
         unit = self.ring.format_element(self.unit)
-        if self.exponent == 0:
+        xe = format_power("x", self.exponent)
+        if not xe:
             return unit
-        xe = "x" if self.exponent == 1 else f"x^{self.exponent}"
         return xe if unit == "1" else f"{xe} * ({unit})"
 
     def __repr__(self):

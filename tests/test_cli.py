@@ -1,5 +1,7 @@
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -227,11 +229,25 @@ def test_negative_tprec_exit_code(capsys):
     assert "--tprec" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("law", ["reciprocity-ar", "weil"])
+@pytest.mark.parametrize("law", ["reciprocity-ar", "weil", "residue-sum"])
 def test_report_inputs_replay(law):
     code, out = run(["suite", law, "--cases", "12", "--seed", "1", "--format", "json"])
     assert code == 0
     for case in json.loads(out)["cases"]:
         given = case["inputs"]
-        argv = ["verify", law, "--ring", given["ring"], "--f=" + given["f"], "--g=" + given["g"]]
+        argv = ["verify", law, "--ring", given["ring"], "--f=" + given["f"]]
+        if "g" in given:
+            argv.append("--g=" + given["g"])
         assert run(argv)[0] == 0, given
+
+
+def test_readme_examples_run():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("ccsym ") and " suite " not in ln]
+    assert len(lines) == 10
+    for line in lines:
+        code, out = run(shlex.split(line)[1:])
+        assert code == 0, line
+        if line is lines[0]:
+            assert out.strip() == "1+e"  # as its README comment says

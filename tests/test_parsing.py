@@ -1,10 +1,11 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from ccsym.errors import ParseError
-from ccsym.forms import OneForm, TwoForm, res2
+from ccsym.forms import AOneForm, OneForm, TwoForm, res2
 from ccsym.parsing import (
     parse_element,
     parse_form,
@@ -15,8 +16,10 @@ from ccsym.parsing import (
     parse_series,
 )
 from ccsym.projline import GlobalTwoForm, SplitRationalFunction
-from ccsym.randgen import draw_split_pair
+from ccsym.randgen import draw_sections, draw_split_pair, draw_unit
+from ccsym.rings import TruncatedPolynomialRing
 from ccsym.series import INF, LaurentSeries
+from ccsym.symbols import MHatElement
 
 
 @pytest.mark.parametrize(
@@ -260,3 +263,74 @@ def test_rational_function_format_reads_back(spec):
         for f in draw_split_pair(ring, rng):
             back = parse_rational_function(ring, f.format())
             assert (back.constant, back.factors) == (f.constant, f.factors), f.format()
+
+
+PRINTED_ONE = re.compile(r"(?<![\^\d/])(?<!\^-)1\*[a-z]")
+
+
+def _random_series(ring, rng):
+    ell = rng.randint(-4, 2)
+    coeffs = [ring.random_element(rng) for _ in range(rng.randint(0, 6))]
+    return LaurentSeries(ring, ell, coeffs, rng.choice([INF, ell + len(coeffs) + rng.randint(0, 3)]))
+
+
+def _level(ring):
+    """k[x]/(x^m) of the ring's residue field, m its nilpotency index (3 for a field)."""
+    m = 3 if ring.is_field else ring.nilpotency_index
+    return TruncatedPolynomialRing(ring.residue_field, "x", m)
+
+
+def _trimmed(tail):
+    tail = list(tail)
+    while tail and tail[-1].is_zero():
+        tail.pop()
+    return tail
+
+
+@pytest.mark.parametrize("spec", ["F5", "Z/25", "Q", "F3[e]/(e^3)", "Q[e]/(e^2)", "Q[e]/(e^3)"])
+def test_printed_values_read_back(spec):
+    """Every printer goes through one term rule: no coefficient 1 before a
+    letter (a -1 prints as a sign), and every printed value parses back."""
+    ring = parse_ring(spec)
+    rng = random.Random(11)
+    printed = []
+
+    def check(text, parse, same):
+        printed.append(text)
+        assert PRINTED_ONE.search(text) is None, text
+        assert same(parse(text)), text
+
+    for _ in range(40):
+        x = ring.random_element(rng)
+        check(ring.format_element(x), lambda t: parse_element(ring, t), lambda y: y == x)
+        s = _random_series(ring, rng)
+        check(s.format(), lambda t: parse_series(ring, t), lambda y: y == s)
+        for f in draw_split_pair(ring, rng):
+            check(f.format(), lambda t: parse_rational_function(ring, t),
+                  lambda y: (y.constant, y.factors) == (f.constant, f.factors))
+        level = _level(ring)
+        u = MHatElement(level, rng.randint(-3, 3), draw_unit(level, rng).series(6))
+        check(u.format(), lambda t: parse_mhat(level, t),
+              lambda y: (y.exponent, y.unit) == (u.exponent, u.unit))
+        if not ring.has_section:
+            continue
+        a = AOneForm(ring, ring.random_element(rng))
+        if a.is_zero():  # always over a field, whose de is 0; a zero form is no form text
+            assert a.format() == "0"
+        else:
+            check(a.format(), lambda t: parse_form(ring, t).de,
+                  lambda y: y == LaurentSeries.constant(ring, a.coeff))
+        one = OneForm(_random_series(ring, rng), _random_series(ring, rng))
+        check(one.format(), lambda t: parse_form(ring, t), lambda y: y == one)
+        two = TwoForm(_random_series(ring, rng))
+        check(two.format(), lambda t: parse_form(ring, t), lambda y: y == two)
+        poles = {
+            v: {k: AOneForm(ring, ring.random_element(rng)) for k in range(1, rng.randint(1, 3) + 1)}
+            for v in draw_sections(ring, rng, rng.randint(0, 3))
+        }
+        tail = [AOneForm(ring, ring.random_element(rng)) for _ in range(rng.randint(0, 3))]
+        w = GlobalTwoForm(ring, poles, tail)
+        check(w.format(), lambda t: parse_global_two_form(ring, t),
+              lambda y: (y.poles, _trimmed(y.tail)) == (w.poles, _trimmed(w.tail)))
+    if spec == "Q[e]/(e^3)":  # the -1 coefficient that used to print as -1*e
+        assert any("-e" in text for text in printed)

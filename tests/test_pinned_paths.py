@@ -49,7 +49,7 @@ DLOG = {
     ("Q[e]/(e^3)", "-e*t^-3 + 2*e*t^-1 + 1/3 + t^2 + O(t^12)"):
         "(27*e^2*t^-7-180*e^2*t^-5+9*e*t^-4+495*e^2*t^-3-15*e*t^-2-45*e+(6-8505*e^2)*t+405*e*t^2+(-18+63180*e^2)*t^3-2025*e*t^4+O(t^5))*dt + (-9*e*t^-6+90*e*t^-4-3*t^-3-495*e*t^-2+15*t^-1+2160*e-45*t-8505*e*t^2+135*t^3+31590*e*t^4-405*t^5+O(t^6))*de",
     ("Q[e]/(e^3)", "1 + e*t^-6 - e^2/2*t^-5"):
-        "(6*e^2*t^-13-6*e*t^-7+5/2*e^2*t^-6)*dt + (-1*e*t^-12+t^-6-1*e*t^-5)*de",
+        "(6*e^2*t^-13-6*e*t^-7+5/2*e^2*t^-6)*dt + (-e*t^-12+t^-6-e*t^-5)*de",
     # no negative tail and a leading constant with an e-part: its dlog rides
     # in h^-1*h_e (recorded when the split divided it out as dlog c)
     ("F3[e]/(e^3)", "(2+e)*t^3 + t^5"):
@@ -73,7 +73,7 @@ WITT = {
     ("Q[e]/(e^3)", "-e*t^-3 + 2*e*t^-1 + 1/3 + t^2 + O(t^12)"):
         "UnitDecomposition(w=0, a0=1/3+360*e^2, pos={1: '45*e', 2: '-3+3240*e^2', 3: '-135*e', 4: '-6075*e^2', 5: '405*e'}, neg={-1: '-15*e', -2: '135*e^2', -3: '3*e', -4: '-45*e^2'}, prec=6)",
     ("Q[e]/(e^3)", "1 + e*t^-6 - e^2/2*t^-5"):
-        "UnitDecomposition(w=0, a0=1, pos={}, neg={-5: '1/2*e^2', -6: '-1*e'}, prec=inf)",
+        "UnitDecomposition(w=0, a0=1, pos={}, neg={-5: '1/2*e^2', -6: '-e'}, prec=inf)",
     ("F3[e]/(e^3)", "(2+e)*t^3 + t^5"):
         "UnitDecomposition(w=3, a0=2+e, pos={2: '1+e+e^2'}, neg={}, prec=24)",
 }
@@ -95,7 +95,7 @@ DLOG2 = {
     ("Q[e]/(e^3)", 1, 2):
         "(6*e*t^-11+9*e*t^-10-18*e*t^-9-75*e*t^-8+O(t^-7))*de^dt",
     ("Q[e]/(e^3)", 2, 0):
-        "(-1*e*t^-15+3/2*e*t^-14+O(t^-12))*de^dt",
+        "(-e*t^-15+3/2*e*t^-14+O(t^-12))*de^dt",
 }
 TWO_FORM = {
     ("F5[e]/(e^2)", "1+e"):

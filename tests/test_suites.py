@@ -23,12 +23,12 @@ DIGESTS = {
     "lemma34": "bd41a8e270bbb18e77d01c0a4988861e1bde61fd36152676bf98cfbd5cbb6c2e",
     "lemma35": "f5f3bed2e8486fdee491272afe2ba70659f29d990e03b1a128a68fa544791b76",
     "dlog-square": "ebfdd5104a5e903fa0ea73da51263864e8f77e8bca03f009e5c1636d360c673b",
-    "bilinearity-steinberg": "056338f779f8e1163a4b8b44e6ac7af8020a866053ced20b2b2c586fb0cc1617",
-    "uniformizer-invariance": "676b220078463f6296360d8d38bbf671a9e8e80e175e33ef1798c39a5f8055bb",
+    "bilinearity-steinberg": "611325ac93bc5e552713f75add76e2396dadaf5191cdcbae035e7b0f912fc9d5",
+    "uniformizer-invariance": "fc64e79c025102a779f1387663a581d8dfe5cc82f87531d49c7ad43e57a7e4ab",
     "reciprocity-ar": "8ab370254326c6b8975e710bb00674c9b11f889e84e2e2c89a24a233507c7312",
     "weil": "e7f11aa8804e038efa1941ed308c0ff0f5ac1498292254c00d631476fb275b54",
-    "residue-sum": "eecf5a4c6860e6d28548da69536a9034f949d4d2109b0502b300bed4edc89d96",
-    "decompose-roundtrip": "455d4395ba4b236658b0ab63f7b1274455961418bb68c44f3a1cee868d69174d",
+    "residue-sum": "11b38f0b81181bc2faef83e1260b2c3fa3a75e9b0bcd655b45ac4fd1cb6fdbb3",
+    "decompose-roundtrip": "a20aa654459151b89519152f50ee7a3790b12479984b4cc83a8b65bc5a2d5438",
     "precision-coherence": "8707efbfa41d5c8db3b018a5f924ec7702e6f0a35c9843d527471962137333ca",
 }
 
@@ -42,6 +42,8 @@ def test_report_digest(name):
     # exponent_bound=2 keeps dlog-square's closed forms to about a second
     report = run_suite(SuiteConfig(suite=name, cases=12, seed=1, exponent_bound=2))
     assert report.passed
+    # a FAIL line names its case by index, so no two records share one
+    assert [c.index for c in report.cases] == list(range(len(report.cases)))
     data = json.loads(report.to_json())
     del data["elapsed_ms"]
     digest = hashlib.sha256(json.dumps(data, indent=2).encode()).hexdigest()
