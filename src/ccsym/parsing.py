@@ -11,7 +11,8 @@ position in the whole text:
   e.g. "1 - e*t^-1 + 2*t^3 + O(t^8)";
 - rational functions: factored products "c * (x - s1)^n1 * x^n2 * ...",
   where (x + sum) is x - s with s = -sum, so "(x - 1 + e)" is x - (1 - e);
-- one-forms "f*dt + g*de", two-forms "h*de^dt", and global two-forms
+- one-forms "f*dt + g*de" (a lone "0" is the zero one-form), two-forms
+  "h*de^dt", and global two-forms
   "c*de/(x - s)^k + c*de*x^j + c*de" on the projective line;
 - M-hat elements "x^e * (unit in z)", or the unit in z alone.
 """
@@ -92,7 +93,7 @@ class _ExpressionParser:
     linear ['^' exponent] | unary ('/' unary)*, and linear := 'x' |
     '(' 'x' (('+'|'-') product)* ')' is x plus that sum, x - s for s = -sum.
 
-    form := term (('+'|'-') term)*, term := signs [product '*'] d<letter>,
+    form := '0' | term (('+'|'-') term)*, term := signs [product '*'] d<letter>,
     a product stopping before '*' d<letter>.  A two-form term goes on with
     '^' d<var>, a global one with '/' linear ['^' k] or '*' 'x' ['^' j].
 
@@ -343,12 +344,15 @@ def parse_mhat(ring: Ring, text: str):
 
 
 def parse_form(ring: Ring, text: str, var: str = "t"):
-    """A one-form 'f*dt + g*de' or a two-form 'h*de^dt'."""
+    """A one-form 'f*dt + g*de', a two-form 'h*de^dt', or '0', the zero
+    one-form as the printers write it."""
     from .forms import OneForm, TwoForm
 
     dvar, dgen = "d" + var, "d" + ring.gen
     parser = _ExpressionParser(text, ring, _series_variables(ring, var), forms=True)
     parts = {slot: LaurentSeries.zero(ring) for slot in ("dt", "de", "h")}
+    if [tok[:2] for tok in parser.tokens] == [("num", 0), ("end", None)]:
+        return OneForm(parts["dt"], parts["de"])
     seen = set()
     for _, sign, coeff, name in parser.terms((dvar, dgen)):
         slot = "dt" if name == dvar else "de"

@@ -14,7 +14,9 @@ only through ring methods.  Every element of a local ring here is either
 a unit (nonzero residue) or nilpotent.  Up to STRAIGHT_LINE_ORDER, a
 k[e]/(e^m) ring's arithmetic is straight-line code generated once per
 (p, m) by _kernels and bound on the ring, so ``ring.mul(x, y)`` calls it
-directly.
+directly.  ``ring.sweep(v, a, ks, off)`` runs v[k] += a*v[k + off] over a
+window in place, the one recurrence of series division and peeling: a loop
+on Ring, one expression per slot on Z/p^m and in the generated kernels.
 """
 
 from __future__ import annotations
@@ -86,6 +88,15 @@ class Ring:
     def dot(self, xs, ys):
         """Sum of pairwise products."""
         raise NotImplementedError
+
+    def sweep(self, v, a, ks, off):
+        """v[k] += a*v[k + off] in place, for each k of ks in order, skipping a
+        zero v[k + off]: the one recurrence of series division and peeling."""
+        zero, add, mul = self.zero, self.add, self.mul
+        for k in ks:
+            x = v[k + off]
+            if x != zero:
+                v[k] = add(v[k], mul(a, x))
 
     def encode(self, xs):
         """(slots, den): the elements xs as integer slots over one denominator.
@@ -252,6 +263,13 @@ class IntegersModPrimePower(Ring):
 
     def dot(self, xs, ys):
         return sum(map(operator.mul, xs, ys)) % self.pm
+
+    def sweep(self, v, a, ks, off):
+        pm = self.pm
+        for k in ks:
+            x = v[k + off]
+            if x:
+                v[k] = (v[k] + a * x) % pm
 
     def encode(self, xs):
         return list(xs), 1
@@ -449,32 +467,48 @@ STRAIGHT_LINE_ORDER = 32
 def _kernels(p: int, m: int) -> dict:
     """Straight-line arithmetic on the elements of k[e]/(e^m), by name.
 
-    Over F_p (p prime): ``add``, ``sub``, ``neg``, ``mul`` and ``dot`` on
-    tuples of m coefficients in [0, p).  Over Q (p = 0): ``mul`` on the
-    tuples (n_0, ..., n_{m-1}, d).  Each function unpacks its arguments
-    into locals and writes every coefficient out, so no loop runs per slot.
-    The text is built from the ints p and m alone, never from ring text.
-    Empty above STRAIGHT_LINE_ORDER.
+    Over F_p (p prime): ``add``, ``sub``, ``neg``, ``mul``, ``dot`` and
+    ``sweep`` on tuples of m coefficients in [0, p).  Over Q (p = 0):
+    ``mul`` and ``sweep`` on the tuples (n_0, ..., n_{m-1}, d).  Each
+    function unpacks its arguments into locals and writes every coefficient
+    out, so no loop runs per coefficient; ``sweep`` (see Ring.sweep) forms
+    y + a*x in one expression per slot, one ``% p`` per coefficient over F_p
+    and one _reduced over Q.  The text is built from the ints p and m alone,
+    never from ring text.  Empty above STRAIGHT_LINE_ORDER.
     """
     p, m = operator.index(p), operator.index(m)
     if m > STRAIGHT_LINE_ORDER:
         return {}
     xs = "".join(f"x{i}, " for i in range(m))
-    ys = xs.replace("x", "y")
-    conv = [" + ".join(f"x{i}*y{k - i}" for i in range(k + 1)) for k in range(m)]
+    ys, as_ = xs.replace("x", "y"), xs.replace("x", "a")
+
+    def conv(u, w):
+        """The m coefficients of the product of the tuples named u and w."""
+        return [" + ".join(f"{u}{i}*{w}{k - i}" for i in range(k + 1)) for k in range(m)]
+
     acc = [f"a{k}" for k in range(m)]
-    sums = "".join(f"        {a} += {c}\n" for a, c in zip(acc, conv))
+    sums = "".join(f"        {a} += {c}\n" for a, c in zip(acc, conv("x", "y")))
 
     def out(cs):
         """The tuple of the expressions cs, each reduced mod p over F_p."""
         return "(" + "".join(f"({c}) % {p}, " if p else f"{c}, " for c in cs) + ")"
 
+    # sweep compares x = v[k + off] with the zero tuple, a constant
     if p == 0:
         source = f"""
 def mul(x, y):
     {xs}dx = x
     {ys}dy = y
-    return _reduced({out(conv)}, dx*dy)
+    return _reduced({out(conv("x", "y"))}, dx*dy)
+def sweep(v, a, ks, off):
+    {as_}da = a
+    for k in ks:
+        x = v[k + off]
+        if x != {(0,) * m + (1,)}:
+            {xs}dx = x
+            {ys}dy = v[k]
+            d = da*dx
+            v[k] = _reduced({out(f"y{i}*d + ({c})*dy" for i, c in enumerate(conv("a", "x")))}, dy*d)
 """
     else:
         source = f"""
@@ -492,11 +526,19 @@ def neg(x):
 def mul(x, y):
     {xs}= x
     {ys}= y
-    return {out(conv)}
+    return {out(conv("x", "y"))}
 def dot(xs, ys):
     {" = ".join(acc)} = 0
     for ({xs}), ({ys}) in zip(xs, ys):
 {sums}    return {out(acc)}
+def sweep(v, a, ks, off):
+    {as_}= a
+    for k in ks:
+        x = v[k + off]
+        if x != {(0,) * m}:
+            {xs}= x
+            {ys}= v[k]
+            v[k] = {out(f"y{i} + {c}" for i, c in enumerate(conv("a", "x")))}
 """
     namespace = {"_reduced": _reduced}
     exec(compile(source, f"<kernels p={p} m={m}>", "exec"), namespace)

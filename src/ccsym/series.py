@@ -15,9 +15,11 @@ nilpotent negative tail; inverse, dlog and unit coordinates are read
 from this split, which the series keeps.  Each peeled factor divides
 t^-w*f*G and G in place, no series product, and h = t^-w*f*G is known
 below (f.prec - w) + ell(G).  The split owns the canonical coordinates
-a_{-i} of B = 1/G = prod (1 - a_{-i} t^-i), read once off B by the
-peeling recurrence (_peel) that the positive coordinates use too.
-Neither the split nor the peel scales a series by its leading constant.
+a_{-i} of B = 1/G = prod (1 - a_{-i} t^-i), kept as B's coefficient list
+in s = t^-1 and read once by the peeling recurrence (_peel) that the
+positive coordinates use too.  The divisions, B's update and the peel all
+run one ring kernel, ``ring.sweep``, over their windows.  Neither the
+split nor the peel scales a series by its leading constant.
 """
 
 from __future__ import annotations
@@ -388,8 +390,10 @@ def _split_unit(f: LaurentSeries) -> _UnitSplit:
     factor in place (_divide_binomial), forming no series product; h = h0*G
     is known below (f.prec - w) + ell(G).  Raises when f is too short to fix G.
 
-    B = 1/G is kept exactly alongside G, one factor (1 - a*t^d) per step.
-    B is a polynomial of degree D = depth(B) in s = t^-1 whose coefficients
+    B = 1/G is kept exactly alongside G as its coefficient list in s = t^-1,
+    constant first: each step multiplies it by (1 - a*s^|d|), one downward
+    sweep (Ring.sweep), and _peel reads the list once at the end, with no
+    series built per step.  B is a polynomial of degree D in s whose coefficients
     v[k], k > 0, lie in the maximal ideal m, hence in m^ceil(k/D).  Dividing
     by (1 - a_i s^i), a_i = -v[i], keeps that: the new v[k] sums
     a_i^j * v[k-ji], in m^(j*ceil(i/D) + ceil((k-ji)/D)), inside m^ceil(k/D).
@@ -408,22 +412,27 @@ def _split_unit(f: LaurentSeries) -> _UnitSplit:
     lo, top = f.ell - w, f.prec - w
     hg, geom = list(f.coeffs) if lo < 0 else f.coeffs, [ring.one]  # no tail: kept as is
     c_inv = ring.inv(hg[-lo])
-    B = LaurentSeries.one(ring)
+    zero, b = ring.zero, [ring.one]  # B in s = t^-1, constant first
     budget = 64 + 16 * ring.nilpotency_index * (1 + max(0, -lo))
     while lo < min(0, top + 1 - len(geom)):
         budget -= 1
         if budget < 0:
             raise InvariantViolation("negative-tail peeling did not terminate")
-        a = ring.neg(ring.mul(c_inv, hg[0]))
-        B = B - B.scalar_mul(a).shift(lo)
+        minus_a = ring.mul(c_inv, hg[0])
+        a = ring.neg(minus_a)
+        # B *= 1 - a*s^-lo: downwards, so each b[k + lo] read is the old one
+        b += [zero] * -lo
+        ring.sweep(b, minus_a, range(len(b) - 1, -lo - 1, -1), lo)
         lo -= _divide_binomial(ring, lo, a, hg, geom)[0]
     ell_g = 1 - len(geom)
     if top + ell_g < 0:
         raise IndeterminateAtPrecision(f"negative tail of {f} not determined")
-    depth, e = -B.ell, ring.nilpotency_index
-    # B runs from t^-depth up to its constant 1: reversed, it is B in s = t^-1
-    neg = _peel(ring, [*B.coeffs[::-1], *[ring.zero] * ((e - 1) * depth)])
+    while b[-1] == zero:
+        b.pop()
+    depth, e = len(b) - 1, ring.nilpotency_index
+    neg = _peel(ring, [*b, *[zero] * ((e - 1) * depth)])
     if max(neg, default=0) > (e - 1) * depth:
+        B = LaurentSeries(ring, -depth, b[::-1])
         raise InvariantViolation(f"negative coordinate of {B} beyond index {(e - 1) * depth}")
     h = LaurentSeries(ring, lo, hg, top + ell_g)
     f._split = _UnitSplit(w, neg, LaurentSeries(ring, ell_g, geom), h)
@@ -434,19 +443,18 @@ def _divide_binomial(ring: Ring, d: int, a, *windows) -> list:
     """Divide each window, a Laurent polynomial from its lowest nonzero slot
     up, in place by (1 - a*t^d), d < 0 and a^n = 0: the quotient q = v +
     a*t^d*q gains (n - 1)*|d| low slots, filled downwards by q[k] += a*q[k +
-    |d|] over nonzero q[k + |d|], then loses its leading zeros.  Returns how
+    |d|], one ``ring.sweep``, then loses its leading zeros.  Returns how
     many slots lower each window starts.  Raises for a unit a."""
     step = -d
     new = (len(ring.nilpotent_powers(a)) - 1) * step
-    zero, add, mul = ring.zero, ring.add, ring.mul
+    zero = ring.zero
     shifts = []
     for v in windows:
         v[:0] = [zero] * new
-        for k in range(len(v) - 1 - step, -1, -1):
-            x = v[k + step]
+        ring.sweep(v, a, range(len(v) - 1 - step, -1, -1), step)
+        for lead, x in enumerate(v):  # q != 0: 1 - a*t^d is a unit
             if x != zero:
-                v[k] = add(v[k], mul(a, x))
-        lead = next(k for k, x in enumerate(v) if x != zero)  # q != 0: 1 - a*t^d is a unit
+                break
         del v[:lead]
         shifts.append(new - lead)
     return shifts
@@ -457,24 +465,22 @@ def _peel(ring: Ring, v: list) -> dict:
 
     Once the factors below i are divided out, v = v[0]*(1 - a_i s^i) +
     O(s^(i+1)), so a_i = -v[i]/v[0]; dividing by (1 - a_i s^i) is v[k] +=
-    a_i * v[k-i], in place and upwards.  It clears v[i] and leaves
-    v[i+1..2i-1] as they are, since v[1..i-1] = 0.  Zero slots cost a
-    comparison only: no coordinate is read off them and no update adds them.
+    a_i * v[k-i], in place and upwards, one ``ring.sweep``.  It clears v[i]
+    and leaves v[i+1..2i-1] as they are, since v[1..i-1] = 0.  Zero slots
+    cost a comparison only: no coordinate is read off them and no update
+    adds them.  _split_unit passes B's list in s as it stands, constant first.
     """
     coords = {}
     if len(v) < 2:
         return coords
-    zero, add, mul = ring.zero, ring.add, ring.mul
+    zero, n = ring.zero, len(v)
     u = ring.neg(ring.inv(v[0]))
-    for i in range(1, len(v)):
+    for i in range(1, n):
         if v[i] == zero:
             continue
-        a = coords[i] = mul(u, v[i])
+        a = coords[i] = ring.mul(u, v[i])
         v[i] = zero
-        for k in range(2 * i, len(v)):
-            x = v[k - i]
-            if x != zero:
-                v[k] = add(v[k], mul(a, x))
+        ring.sweep(v, a, range(2 * i, n), -i)
     return coords
 
 

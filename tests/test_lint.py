@@ -244,5 +244,54 @@ def test_kernel_factory_takes_ints_only():
         with pytest.raises(TypeError):
             _kernels(p, m)
     assert _kernels(3, STRAIGHT_LINE_ORDER + 1) == {}
-    assert set(_kernels(3, 2)) == {"add", "sub", "neg", "mul", "dot"}
-    assert set(_kernels(0, 2)) == {"mul"}
+    assert set(_kernels(3, 2)) == {"add", "sub", "neg", "mul", "dot", "sweep"}
+    assert set(_kernels(0, 2)) == {"mul", "sweep"}
+
+
+def _method(call):
+    """The name a call goes through: ring.add -> "add", add -> "add"."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else _name(func)
+
+
+def _recurrences(tree):
+    """(line, text) of each ``X[k] = <ring>.add(X[k], <ring>.mul(...))``, the
+    ring's methods called directly or through local names add and mul."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+            continue
+        target, value = node.targets[0], node.value
+        if (
+            isinstance(target, ast.Subscript)
+            and isinstance(value, ast.Call)
+            and _method(value) == "add"
+            and len(value.args) == 2
+            and ast.unparse(value.args[0]) == ast.unparse(target)
+            and isinstance(value.args[1], ast.Call)
+            and _method(value.args[1]) == "mul"
+        ):
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_recurrences_are_flagged():
+    snippet = (
+        "v[k] = ring.add(v[k], ring.mul(a, x))\n"
+        "v[k] = add(v[k], mul(a, v[k - i]))\n"
+        "out[i + j] = self.ring.add(out[i + j], self.ring.mul(x, y))\n"
+        "v[k] = ring.add(v[j], ring.mul(a, x))\n"
+        "s = ring.add(s, ring.mul(a, x))\n"
+        "d[k] = ring.add(d.get(k, zero), ring.mul(a, x))\n"
+        "v[k] = ring.add(v[k], c)\n"
+    )
+    found = _recurrences(ast.parse(snippet))
+    assert sorted(line for line, _ in found) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "rings.py"], ids=lambda p: p.name)
+def test_the_sweep_recurrence_stays_in_rings(path):
+    # v[k] += a*v[k + off] over a window is Ring.sweep, one kernel per kind
+    # of ring; a module that writes the loop itself runs two ring calls a slot
+    found = _recurrences(ast.parse(path.read_text(), str(path)))
+    assert not found, f"{path.name}: {found}"

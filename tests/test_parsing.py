@@ -149,6 +149,13 @@ def test_parse_form():
         parse_form(A, "t^-1*dt + t*de^dt")
     with pytest.raises(ParseError):
         parse_form(A, "t^-1")
+    # a lone 0 is the zero one-form, as AOneForm prints it; other constants are no form
+    zero = LaurentSeries.zero(A)
+    assert parse_form(A, "0") == parse_form(A, " 0 ") == OneForm(zero, zero)
+    assert parse_form(A, AOneForm.zero(A).format()).de == zero
+    for text in ("1", "0 + 0", "-0"):
+        with pytest.raises(ParseError):
+            parse_form(A, text)
 
 
 def test_parse_global_two_form():
@@ -315,11 +322,8 @@ def test_printed_values_read_back(spec):
         if not ring.has_section:
             continue
         a = AOneForm(ring, ring.random_element(rng))
-        if a.is_zero():  # always over a field, whose de is 0; a zero form is no form text
-            assert a.format() == "0"
-        else:
-            check(a.format(), lambda t: parse_form(ring, t).de,
-                  lambda y: y == LaurentSeries.constant(ring, a.coeff))
+        check(a.format(), lambda t: parse_form(ring, t).de,
+              lambda y: y == LaurentSeries.constant(ring, a.coeff))
         one = OneForm(_random_series(ring, rng), _random_series(ring, rng))
         check(one.format(), lambda t: parse_form(ring, t), lambda y: y == one)
         two = TwoForm(_random_series(ring, rng))

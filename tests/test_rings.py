@@ -19,6 +19,7 @@ from ccsym.rings import (
     IntegersModPrimePower,
     PrimeField,
     RationalField,
+    Ring,
     TruncatedPolynomialRing,
     epsilon_map,
     residue_map,
@@ -398,6 +399,41 @@ def test_kernels_on_random_pairs(base, order):
         for x, y in zip(xs, ys):
             total = ring.add(total, ring.mul(x, y))
         assert ring.dot(xs, ys) == total
+
+
+def _loop_sweep(ring, v, a, ks, off):
+    """v[k] += a*v[k + off] over ks by the book: every slot, zero or not."""
+    for k in ks:
+        v[k] = ring.add(v[k], ring.mul(a, v[k + off]))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["F5", "Z/27", "Q", "F2[e]/(e^4)", "F7[e]/(e^3)", "Q[e]/(e^2)", "Q[e]/(e^3)",
+     f"F7[e]/(e^{BOUND + 1})", f"Q[e]/(e^{BOUND + 1})"],
+)
+def test_sweep_matches_the_loop(spec):
+    # the ring's sweep (generated up to the bound, else its class's) and the
+    # generic one on Ring give the loop's window, upwards and downwards, over
+    # windows with runs of zeros, for a = 0, a unit and a nilpotent
+    ring = parse_ring(spec)
+    assert ("sweep" in vars(ring)) == ("[e]" in spec and ring.width <= BOUND)
+    rng = random.Random(f"sweep:{spec}")
+    for _ in range(20):
+        n = rng.randint(1, 24)
+        v = [ring.random_element(rng) if rng.random() < 0.5 else ring.zero for _ in range(n)]
+        run = rng.randint(0, n // 2)
+        start = rng.randint(0, n - run)
+        v[start : start + run] = [ring.zero] * run
+        for a in (ring.zero, ring.random_unit(rng), ring.random_nilpotent(rng)):
+            for i in (1, 2, 5):
+                for ks, off in ((range(i, n), -i), (range(n - 1 - i, -1, -1), i)):
+                    expected = list(v)
+                    _loop_sweep(ring, expected, a, ks, off)
+                    for sweep in (ring.sweep, lambda *args: Ring.sweep(ring, *args)):
+                        w = list(v)
+                        assert sweep(w, a, ks, off) is None
+                        assert w == expected, (spec, a, i, off)
 
 
 @pytest.mark.parametrize(
