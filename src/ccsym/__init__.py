@@ -77,7 +77,6 @@ from .symbols import (
     MHatElement,
     UnitDecomposition,
     contou_carrere,
-    deg_mhat,
     kato_residue,
     recompose,
     required_precision,

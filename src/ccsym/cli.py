@@ -29,7 +29,6 @@ from .projline import (
     tame_symbol_at_point,
     weil_check,
 )
-from .rings import TruncatedPolynomialRing
 from .suites import SUITES, SuiteConfig, run_suite
 from .symbols import contou_carrere, kato_residue, witt_decompose
 
@@ -41,32 +40,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, g=True, tprec=False):
+    def common(p, g=True):
         p.add_argument("--ring", required=True, help='e.g. "F3[e]/(e^2)", "Q", "Z/25"')
         p.add_argument("--f", required=True)
         if g:
             p.add_argument("--g", required=True)
-        if tprec:
-            p.add_argument("--tprec", type=int, default=0, help="series working precision")
 
     symbol = sub.add_parser("symbol", help="compute a single symbol")
     symsub = symbol.add_subparsers(dest="kind", required=True)
-    common(symsub.add_parser("cc", help="pairing of two unit series"), tprec=True)
+    common(symsub.add_parser("cc", help="pairing of two unit series"))
     tame = symsub.add_parser("tame", help="tame symbol of rational functions at a point")
     common(tame)
     tame.add_argument("--at", required=True, help='section value or "inf"')
-    kato = symsub.add_parser("kato", help="residue symbol of x^e*(z-series) elements")
-    common(kato)
-    kato.add_argument("--xprec", type=int, default=4, help="x-adic level for kato symbols")
+    common(symsub.add_parser("kato", help="residue symbol of x^e*(z-series) elements"))
 
     dec = sub.add_parser("decompose", help="winding number and unit coordinates")
-    common(dec, g=False, tprec=True)
+    common(dec, g=False)
 
     res = sub.add_parser("residue", help="residue of a one- or two-form")
     common(res, g=False)
 
     dl2 = sub.add_parser("dlog2", help="dlog(f)^dlog(g) and its residue")
-    common(dl2, tprec=True)
+    common(dl2)
 
     ver = sub.add_parser("verify", help="check one instance of a law")
     versub = ver.add_subparsers(dest="law", required=True)
@@ -75,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rsum = versub.add_parser("residue-sum")
     rsum.add_argument("--ring", required=True)
     rsum.add_argument("--f", required=True, help="global two-form text")
-    common(versub.add_parser("dlog-square"), tprec=True)
+    common(versub.add_parser("dlog-square"))
 
     suite = sub.add_parser("suite", help="run a randomized verification suite")
     suite.add_argument("name", choices=sorted(SUITES))
@@ -89,26 +84,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _series(ring, text, args):
-    if args.tprec < 0:
-        raise CCSymError(f"--tprec must be 0 (no cut) or a positive precision, got {args.tprec}")
-    f = parse_series(ring, text)
-    return f.truncate(args.tprec) if args.tprec else f
-
-
 def _series_pair(args):
     ring = parse_ring(args.ring)
-    return ring, _series(ring, args.f, args), _series(ring, args.g, args)
+    return ring, parse_series(ring, args.f), parse_series(ring, args.g)
 
 
 def _kato_ring(args):
-    if args.xprec < 1:
-        raise CCSymError(f"--xprec must be a positive level, got {args.xprec}")
     ring = parse_ring(args.ring)
-    if ring.is_field and ring.residue_field == ring:  # a base field, not k[x]/(x^1)
-        ring = TruncatedPolynomialRing(ring, "x", args.xprec)
     if not ring.x_level:
-        raise CCSymError(f"{ring} is not a level ring k[x]/(x^m) or base field")
+        raise CCSymError(f"{ring} is not a level ring k[x]/(x^m)")
     return ring
 
 
@@ -134,7 +118,7 @@ def _cmd_symbol(args, out) -> int:
 
 def _cmd_decompose(args, out) -> int:
     ring = parse_ring(args.ring)
-    d = witt_decompose(_series(ring, args.f, args))
+    d = witt_decompose(parse_series(ring, args.f))
     fmt = ring.format_element
     out(f"winding: {d.w}")
     out(f"leading unit: {fmt(d.a0)}")
@@ -177,7 +161,7 @@ def _cmd_verify(args, out) -> int:
         r = residue_sum_check(omega)
     else:
         try:
-            value = res2_dlog2(_series(ring, args.f, args), _series(ring, args.g, args))
+            value = res2_dlog2(parse_series(ring, args.f), parse_series(ring, args.g))
         except IdentityViolated as exc:
             out(f"res2(dlog2(f,g)) = {exc.lhs.format()}")
             out(f"dlog<f,g> = {exc.rhs.format()}")

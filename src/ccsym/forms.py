@@ -140,9 +140,8 @@ class OneForm:
             and self.de == other.de
         )
 
-    def format(self, var: str = "t") -> str:
-        gen = self.ring.gen
-        return f"({self.dt.format(var)})*d{var} + ({self.de.format(var)})*d{gen}"
+    def format(self) -> str:
+        return f"({self.dt.format()})*dt + ({self.de.format()})*d{self.ring.gen}"
 
     def __repr__(self):
         return f"OneForm({self.format()})"
@@ -170,8 +169,8 @@ class TwoForm:
     def __eq__(self, other):
         return isinstance(other, TwoForm) and self.h == other.h
 
-    def format(self, var: str = "t") -> str:
-        return f"({self.h.format(var)})*d{self.ring.gen}^d{var}"
+    def format(self) -> str:
+        return f"({self.h.format()})*d{self.ring.gen}^dt"
 
     def __repr__(self):
         return f"TwoForm({self.format()})"
@@ -276,17 +275,18 @@ def res2_dlog2(f: LaurentSeries, g: LaurentSeries) -> AOneForm:
     return lhs
 
 
-def form_substitute(sigma: LaurentSeries, form, prec=None):
-    """Pull a form back along t -> sigma(t): dt -> sigma'dt + (dsigma/de)de."""
-    ring = sigma.ring
+def form_substitute(sigma: LaurentSeries, form):
+    """Pull a form back along t -> sigma(t): dt -> sigma'dt + (dsigma/de)de,
+    each coefficient series composed by LaurentSeries.substitute, so the
+    result carries the precision that substitution propagates."""
     dsigma = d_series(sigma)
     if isinstance(form, OneForm):
-        ft = form.dt.substitute(sigma, prec=prec)
-        fe = form.de.substitute(sigma, prec=prec)
+        ft = form.dt.substitute(sigma)
+        fe = form.de.substitute(sigma)
         return OneForm(ft * dsigma.dt, ft * dsigma.de + fe)
     if isinstance(form, TwoForm):
         # h de^dt -> (h o sigma) de^(sigma' dt); the de^de part dies
-        return TwoForm(form.h.substitute(sigma, prec=prec) * dsigma.dt)
+        return TwoForm(form.h.substitute(sigma) * dsigma.dt)
     if isinstance(form, AOneForm):
         return form
     raise TypeError(f"cannot substitute into {type(form).__name__}")

@@ -22,6 +22,8 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError, UnsupportedRing
+from .forms import AOneForm, OneForm, TwoForm
+from .projline import GlobalTwoForm, SplitRationalFunction
 from .rings import (
     IntegersModPrimePower,
     PrimeField,
@@ -31,6 +33,7 @@ from .rings import (
     prime_power,
 )
 from .series import INF, LaurentSeries
+from .symbols import MHatElement
 
 
 _RING_PATTERNS = [
@@ -317,8 +320,9 @@ def _series_variables(ring: Ring, var: str) -> dict:
     return {var: LaurentSeries.t_power(ring, 1), **_generator_variables(ring)}
 
 
-def parse_series(ring: Ring, text: str, var: str = "t") -> LaurentSeries:
-    return _ExpressionParser(text, ring, _series_variables(ring, var)).parse()
+def parse_series(ring: Ring, text: str) -> LaurentSeries:
+    """A Laurent series in t, exact or cut by its '+ O(t^N)'."""
+    return _ExpressionParser(text, ring, _series_variables(ring, "t")).parse()
 
 
 def parse_element(ring: Ring, text: str):
@@ -328,8 +332,6 @@ def parse_element(ring: Ring, text: str):
 
 def parse_rational_function(ring: Ring, text: str):
     """Factored products c * (x - s)^n * ...; bare 'x' means (x - 0)."""
-    from .projline import SplitRationalFunction
-
     parser = _ExpressionParser(text, ring, _generator_variables(ring))
     constant, factors = parser.rational_function()
     return SplitRationalFunction(ring, constant, factors)
@@ -337,29 +339,25 @@ def parse_rational_function(ring: Ring, text: str):
 
 def parse_mhat(ring: Ring, text: str):
     """x^e * (series in z); a bare series means exponent zero."""
-    from .symbols import MHatElement
-
     exponent, unit = _ExpressionParser(text, ring, _series_variables(ring, "z")).mhat()
     return MHatElement(ring, exponent, unit)
 
 
-def parse_form(ring: Ring, text: str, var: str = "t"):
+def parse_form(ring: Ring, text: str):
     """A one-form 'f*dt + g*de', a two-form 'h*de^dt', or '0', the zero
     one-form as the printers write it."""
-    from .forms import OneForm, TwoForm
-
-    dvar, dgen = "d" + var, "d" + ring.gen
-    parser = _ExpressionParser(text, ring, _series_variables(ring, var), forms=True)
+    dgen = "d" + ring.gen
+    parser = _ExpressionParser(text, ring, _series_variables(ring, "t"), forms=True)
     parts = {slot: LaurentSeries.zero(ring) for slot in ("dt", "de", "h")}
     if [tok[:2] for tok in parser.tokens] == [("num", 0), ("end", None)]:
         return OneForm(parts["dt"], parts["de"])
     seen = set()
-    for _, sign, coeff, name in parser.terms((dvar, dgen)):
-        slot = "dt" if name == dvar else "de"
+    for _, sign, coeff, name in parser.terms(("dt", dgen)):
+        slot = "dt" if name == "dt" else "de"
         if name == dgen and parser.skip("^"):
             _, value, pos = parser.next()
-            if value != dvar:
-                raise ParseError(f"expected {dvar!r}", text, pos)
+            if value != "dt":
+                raise ParseError("expected 'dt'", text, pos)
             slot = "h"
         coeff = LaurentSeries.one(ring) if coeff is None else coeff
         parts[slot] = parts[slot] + (-coeff if sign < 0 else coeff)
@@ -373,9 +371,6 @@ def parse_form(ring: Ring, text: str, var: str = "t"):
 
 def parse_global_two_form(ring: Ring, text: str):
     """Sum of '<coeff>*de/(x - s)^k' pole terms and '<coeff>*de*x^j' tail terms."""
-    from .forms import AOneForm
-    from .projline import GlobalTwoForm
-
     parser = _ExpressionParser(text, ring, _generator_variables(ring), forms=True)
     poles, tail = {}, {}
     for start, sign, coeff, _ in parser.terms(("d" + ring.gen,)):

@@ -7,8 +7,8 @@ so tame and Contou-Carrere symbols and residues of global two-forms can
 be computed per point and multiplied or summed over the full section
 set.  Both kinds of expansion are sums or products of one chart
 expansion, (x - s)^n at a point (_linear_power), read off the binomial
-series; only a negative power of a unit base is cut, at the requested
-relative precision.  The reciprocity
+series; a power of a unit base is cut at the requested relative
+precision, and a nilpotent one stops by itself.  The reciprocity
 checks require the sections involved to stay residue-disjoint; two
 distinct section values over the same closed point raise
 SectionCollision.
@@ -139,27 +139,35 @@ def _linear_power(ring: Ring, s, n: int, point: SectionPoint, rel_prec: int) -> 
     every n: t^n at s itself, (c + t)^n with c = v - s at another section
     v, and t^-n (1 - s t)^n at infinity (t = 1/x).  No series is inverted.
 
-    n >= 0 gives the exact polynomial, and so does a nilpotent c for every
-    n: (c + t)^n = t^n (1 + c t^-1)^n stops at c^(n_c) = 0.  A negative
-    power of a unit base, c + t or 1 - s t, is cut at relative precision
-    rel_prec: the sum runs over j < rel_prec.
+    A nilpotent c gives the exact polynomial for every n: (c + t)^n =
+    t^n (1 + c t^-1)^n stops at c^(n_c) = 0, after at most n_c terms; so
+    does (1 - s t)^n for a nilpotent s and n >= 0.  Any other base, c + t
+    or 1 - s t, is a unit asked for rel_prec terms, the sum over j <
+    rel_prec: a negative power is cut there, and so is a power n >= 0
+    with more than rel_prec terms.  So the term count never grows with n.
     """
     if point.at_infinity:
         # t^-n * sum_j C(n, j) (-s)^j t^j
         lead, ratio, ell = ring.one, ring.neg(s), -n
-        count, prec = (n + 1, INF) if n >= 0 else (rel_prec, rel_prec - n)
+        if n >= 0 and not ring.is_unit(s):
+            count = min(n + 1, len(ring.nilpotent_powers(s)))
+            return LaurentSeries(ring, ell, _binomial_terms(ring, n, lead, ratio, count))
     elif point.value == s:
         return LaurentSeries.t_power(ring, n)
     else:
         c = ring.sub(point.value, s)
-        if n >= 0 or not ring.is_unit(c):
+        if not ring.is_unit(c):
             # sum_k C(n, k) c^k t^(n-k), built from t^n down
-            count = n + 1 if n >= 0 else len(ring.nilpotent_powers(c))
+            count = len(ring.nilpotent_powers(c))
+            if n >= 0:
+                count = min(count, n + 1)
             terms = _binomial_terms(ring, n, ring.one, c, count)
             return LaurentSeries(ring, n - count + 1, terms[::-1])
         # sum_j C(n, j) c^(n-j) t^j, from c^n = (c^-1)^-n on by c^-1
         c_inv = ring.inv(c)
-        lead, ratio, ell, count, prec = ring.pow(c_inv, -n), c_inv, 0, rel_prec, rel_prec
+        lead, ratio, ell = ring.pow(c_inv, -n), c_inv, 0
+    # a unit base: its first rel_prec terms, exact when that is all n + 1 of them
+    count, prec = (n + 1, INF) if 0 <= n < rel_prec else (rel_prec, ell + rel_prec)
     return LaurentSeries(ring, ell, _binomial_terms(ring, n, lead, ratio, count), prec)
 
 
@@ -306,9 +314,12 @@ class GlobalTwoForm:
             h = h * LaurentSeries.t_power(ring, -2, ring.neg(ring.one))
         return TwoForm(h.truncate(prec))
 
-    def residue_at_section(self, point: SectionPoint, prec: int = 8) -> AOneForm:
-        """res2 of the local expansion; independent of the chart coordinate."""
-        return res2(self.local_expansion(point, prec))
+    def residue_at_section(self, point: SectionPoint) -> AOneForm:
+        """res2 of the local expansion; independent of the chart coordinate.
+
+        Read at window 2, the least that fixes the t^-1 coefficient in
+        every chart: the Jacobian -t^-2 at infinity costs two orders."""
+        return res2(self.local_expansion(point, 2))
 
     def format(self) -> str:
         """Text parse_global_two_form reads back: the sum by format_sum of the

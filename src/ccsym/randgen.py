@@ -9,6 +9,7 @@ same case with a wider window without touching the stream of draws.
 from __future__ import annotations
 
 from .errors import CCSymError, IndeterminateAtPrecision, InsufficientPrecision
+from .projline import SplitRationalFunction
 from .rings import Ring
 from .series import INF, LaurentSeries
 from .symbols import UnitDecomposition
@@ -100,8 +101,6 @@ def draw_sections(ring: Ring, rng, count: int):
 def draw_split_pair(ring: Ring, rng):
     """Two factored rational functions supported on a shared set of at most
     five sections, with exponents in [-3, 3] minus 0."""
-    from .projline import SplitRationalFunction
-
     sections = draw_sections(ring, rng, rng.randint(0, 5))
     exponents = [e for e in range(-3, 4) if e]
 

@@ -81,16 +81,16 @@ class LaurentSeries:
         return cls(ring, 0, (), prec)
 
     @classmethod
-    def one(cls, ring: Ring, prec=INF) -> LaurentSeries:
-        return cls(ring, 0, (ring.one,), prec)
+    def one(cls, ring: Ring) -> LaurentSeries:
+        return cls(ring, 0, (ring.one,))
 
     @classmethod
     def constant(cls, ring: Ring, c, prec=INF) -> LaurentSeries:
         return cls(ring, 0, (c,), prec)
 
     @classmethod
-    def t_power(cls, ring: Ring, k: int, coeff=None, prec=INF) -> LaurentSeries:
-        return cls(ring, k, (ring.one if coeff is None else coeff,), prec)
+    def t_power(cls, ring: Ring, k: int, coeff=None) -> LaurentSeries:
+        return cls(ring, k, (ring.one if coeff is None else coeff,))
 
     @classmethod
     def from_terms(cls, ring: Ring, terms: dict, prec=INF) -> LaurentSeries:
@@ -262,15 +262,13 @@ class LaurentSeries:
             raise MixedRings(f"map {h!r} does not apply to series over {self.ring}")
         return LaurentSeries(h.target, self.ell, map(h, self.coeffs), self.prec)
 
-    def substitute(self, sigma: LaurentSeries, prec=None) -> LaurentSeries:
+    def substitute(self, sigma: LaurentSeries) -> LaurentSeries:
         """Composition f(sigma(t)) for a uniformizer sigma = c*t + t^2*h.
 
-        Negative powers of t go through sigma's inverse.  Precision is
-        propagated by the underlying operations; the unknown tail of f
-        enters at order f.prec since sigma has order one.  An optional
-        prec caps the result (and the working window, for speed): sigma^-k
-        is kept to prec + (depth - k), the orders the remaining factors
-        sigma^-1 will lose.
+        One Horner pass evaluates the window t^-ell*f at sigma, then one
+        power sigma^ell (through sigma's inverse for ell < 0) puts the
+        order back.  Precision is propagated by the underlying operations;
+        the unknown tail of f enters at order f.prec since sigma has order one.
         """
         self._check(sigma)
         ring = self.ring
@@ -280,30 +278,13 @@ class LaurentSeries:
             raise NotAUniformizer("linear coefficient unknown at this precision")
         if not ring.is_unit(sigma.coeff(1)):
             raise NotAUniformizer("linear coefficient is not a unit")
-        out_prec = self.prec if prec is None else min(self.prec, prec)
-        if not self.coeffs or out_prec <= self.ell:
+        if not self.coeffs:
             # sigma has order one, so f(sigma) has order >= ell(f)
-            return LaurentSeries.zero(ring, out_prec)
+            return LaurentSeries.zero(ring, self.prec)
         acc = LaurentSeries.zero(ring)
-        top = self.end() - 1
-        for i in range(top, -1, -1):
-            c = self.coeffs[i - self.ell] if i >= self.ell else ring.zero
+        for c in reversed(self.coeffs):
             acc = acc * sigma + LaurentSeries.constant(ring, c)
-            if prec is not None:
-                acc = acc.truncate(prec)
-        if self.ell < 0:
-            depth = -self.ell
-            sig_inv = sigma.inverse(None if prec is None else prec + depth)
-            power = LaurentSeries.one(ring)
-            for i in range(-1, self.ell - 1, -1):
-                power = power * sig_inv
-                if prec is not None:
-                    # each further factor sigma^-1 costs one order
-                    power = power.truncate(prec + depth + i)
-                ci = self.coeffs[i - self.ell] if i < self.end() else ring.zero
-                if not ring.is_zero(ci):
-                    acc = acc + power.scalar_mul(ci)
-        return acc.truncate(out_prec)
+        return acc.truncate(self.prec - self.ell) * sigma ** self.ell
 
     # -- comparison and display --------------------------------------------
 

@@ -24,6 +24,14 @@ from math import gcd
 from .errors import CCSymError, IdentityViolated
 from .forms import AOneForm, dlog2, dlog_element, form_substitute, log_square_check, res2
 from .parsing import parse_ring
+from .projline import (
+    GlobalTwoForm,
+    SectionPoint,
+    anderson_romo_check,
+    realize_residues,
+    residue_sum_check,
+    weil_check,
+)
 from .randgen import (
     draw_decomposition,
     draw_split_pair,
@@ -451,8 +459,6 @@ def suite_uniformizer_invariance(config: SuiteConfig, rng) -> list[CaseRecord]:
 
 
 def suite_reciprocity_ar(config: SuiteConfig, rng) -> list[CaseRecord]:
-    from .projline import anderson_romo_check
-
     def case(ring, idx):
         f, g = draw_split_pair(ring, rng)
         try:
@@ -471,8 +477,6 @@ def suite_reciprocity_ar(config: SuiteConfig, rng) -> list[CaseRecord]:
 
 
 def suite_weil(config: SuiteConfig, rng) -> list[CaseRecord]:
-    from .projline import weil_check
-
     def case(ring, idx):
         f, g = draw_split_pair(ring, rng)
         inputs = {"ring": str(ring), "f": f.format(), "g": g.format()}
@@ -482,8 +486,6 @@ def suite_weil(config: SuiteConfig, rng) -> list[CaseRecord]:
 
 
 def suite_residue_sum(config: SuiteConfig, rng) -> list[CaseRecord]:
-    from .projline import GlobalTwoForm, SectionPoint, realize_residues, residue_sum_check
-
     def case(ring, idx):
         sections = draw_sections(ring, rng, rng.randint(1, 4))
         values = [AOneForm(ring, ring.random_element(rng)) for _ in sections]

@@ -226,10 +226,6 @@ class MHatElement:
         return f"MHatElement({self.ring}, {self.format()})"
 
 
-def deg_mhat(u: MHatElement) -> int:
-    return u.deg()
-
-
 class KatoValue:
     """x^exponent * unit in k((x))*, recorded exactly modulo 1 + x^m k[[x]]."""
 

@@ -43,7 +43,7 @@ def test_symbol_tame_and_kato():
     )
     assert code == 0 and out.strip() == "3"
     code, out = run(
-        ["symbol", "kato", "--ring", "F5", "--xprec", "3", "--f", "x * (z)", "--g", "(z^2)"]
+        ["symbol", "kato", "--ring", "F5[x]/(x^3)", "--f", "x * (z)", "--g", "(z^2)"]
     )
     assert code == 0 and out.strip() == "x^2"
 
@@ -95,19 +95,13 @@ def test_decompose_deep_split():
 
 
 def test_kato_over_zmod_p_matches_prime_field():
+    # the level is the ring's: F5, Z/5 and Z/5^1 are the base field alike,
+    # not a level ring k[x]/(x^m), and are refused alike
     outs = [
-        run(["symbol", "kato", "--ring", ring, "--xprec", "3", "--f", "x * (z)", "--g", "(z^2)"])
+        run(["symbol", "kato", "--ring", ring, "--f", "x * (z)", "--g", "(z^2)"])
         for ring in ("F5", "Z/5", "Z/5^1", "F5[x]/(x^3)")
     ]
-    assert outs == [(0, "x^2\n")] * 4
-
-
-def test_kato_level_must_be_positive():
-    for level in ("0", "-2"):
-        code, out = run(
-            ["symbol", "kato", "--ring", "F5", "--xprec", level, "--f", "x * (z)", "--g", "(z^2)"]
-        )
-        assert code == 2 and out == ""
+    assert outs == [(2, "")] * 3 + [(0, "x^2\n")]
 
 
 def test_verify_residue_sum():
@@ -223,10 +217,35 @@ def test_uniformizer_invariance_suite_seed_5():
     assert code == 0 and out.strip().endswith("PASS")
 
 
+def test_kato_level_must_be_positive(capsys):
+    # the ring spec states the level, "F5[x]/(x^3)"; --xprec is an unknown flag
+    for level in ("0", "-2"):
+        ring = f"F5[x]/(x^{level})"
+        code, out = run(["symbol", "kato", "--ring", ring, "--f", "x * (z)", "--g", "(z^2)"])
+        assert code == 2 and out == ""
+        assert ring in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["symbol", "kato", "--ring", "F5[x]/(x^3)", "--xprec", "3", "--f", "x * (z)", "--g", "z"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --xprec" in capsys.readouterr().err
+
+
 def test_negative_tprec_exit_code(capsys):
-    code, out = run(["symbol", "cc", "--ring", "F5", "--f", "1+t", "--g", "2", "--tprec", "-3"])
-    assert code == 2 and out == ""
-    assert "--tprec" in capsys.readouterr().err
+    # a series states its precision, "+ O(t^N)"; --tprec is an unknown flag
+    with pytest.raises(SystemExit) as exc:
+        run(["symbol", "cc", "--ring", "F5", "--f", "1+t", "--g", "2", "--tprec", "-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tprec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "ring, f, g",
+    [("F3[e]/(e^2)", "(x - 1)^1000000", "(x - 2)"), ("Z/9", "(x - 3)^1000000", "(x - 1)")],
+)
+def test_reciprocity_with_a_large_exponent(ring, f, g):
+    # each chart expands (x - s)^n to the terms it is asked for, not n + 1
+    code, out = run(["verify", "reciprocity-ar", "--ring", ring, "--f", f, "--g", g])
+    assert code == 0 and out.strip().endswith("PASS")
 
 
 @pytest.mark.parametrize("law", ["reciprocity-ar", "weil", "residue-sum"])

@@ -199,15 +199,10 @@ def laurent_series(ring):
     )
 
 
-@given(
-    st.sampled_from(ROUND_TRIP_RINGS).flatmap(
-        lambda spec: st.tuples(laurent_series(parse_ring(spec)), st.sampled_from("tz"))
-    )
-)
+@given(st.sampled_from(ROUND_TRIP_RINGS).flatmap(lambda spec: laurent_series(parse_ring(spec))))
 @settings(max_examples=300, deadline=None)
-def test_series_parse_format_round_trip(data):
-    s, var = data
-    assert parse_series(s.ring, s.format(var), var=var) == s
+def test_series_parse_format_round_trip(s):
+    assert parse_series(s.ring, s.format()) == s
 
 
 @given(

@@ -295,3 +295,102 @@ def test_the_sweep_recurrence_stays_in_rings(path):
     # of ring; a module that writes the loop itself runs two ring calls a slot
     found = _recurrences(ast.parse(path.read_text(), str(path)))
     assert not found, f"{path.name}: {found}"
+
+
+#: public parameters with a default that no library call sets, each with its reason
+UNSET_DEFAULTS = {
+    "inverse(prec)": "test reference routes cap the inverse past DEFAULT_PRECISION",
+    "run_command(stdout)": "tests capture the output through it",
+}
+
+
+def _public_defaults(tree):
+    """(def node, class node or None, parameter, position or None) for each
+    parameter with a default of a public function, or of a public method or
+    __init__ of a public class; position is the parameter's index among a
+    call's positional arguments, past self or cls, None if keyword-only."""
+    found = []
+
+    def visit(body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef) and owner is None and not node.name.startswith("_"):
+                visit(node.body, node)
+            elif isinstance(node, ast.FunctionDef) and (
+                not node.name.startswith("_") or (owner is not None and node.name == "__init__")
+            ):
+                args = node.args
+                params = args.posonlyargs + args.args
+                bound = owner is not None and "staticmethod" not in map(_name, node.decorator_list)
+                first = len(params) - len(args.defaults)
+                for i, p in enumerate(params[first:], first):
+                    found.append((node, owner, p.arg, i - bound))
+                for p, d in zip(args.kwonlyargs, args.kw_defaults):
+                    if d is not None:
+                        found.append((node, owner, p.arg, None))
+
+    visit(tree.body, None)
+    return found
+
+
+def _unset_defaults(tree):
+    """(line, "name(parameter)") of each public default no call in the tree
+    sets, by keyword or by position, outside the function's own body.  Calls
+    are matched by name: a class, cls inside it, or super().__init__ calls
+    __init__, so a method shares its callers with every same-named function."""
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    found = []
+    for node, owner, param, position in _public_defaults(tree):
+        inside = {id(n) for n in ast.walk(node)}
+        names, in_class = {node.name}, set()
+        if node.name == "__init__":
+            names.add(owner.name)
+            in_class = {id(n) for n in ast.walk(owner)}
+
+        def sets(call):
+            if id(call) in inside:
+                return False
+            name = _method(call)
+            if name not in names and not (name == "cls" and id(call) in in_class):
+                return False
+            if any(k.arg in (param, None) for k in call.keywords):
+                return True
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            return position is not None and (starred or len(call.args) > position)
+
+        if not any(map(sets, calls)):
+            found.append((node.lineno, f"{node.name}({param})"))
+    return found
+
+
+def test_unset_defaults_are_flagged():
+    snippet = (
+        "def used(a, b=1, c=2, *, d=3):\n"
+        "    return used(a, b, c, d=d)\n"
+        "def dead(x=0):\n"
+        "    pass\n"
+        "def _private(y=0):\n"
+        "    pass\n"
+        "class Box:\n"
+        "    def __init__(self, size=1, fill=None):\n"
+        "        pass\n"
+        "    def grow(self, by=1):\n"
+        "        pass\n"
+        "    @classmethod\n"
+        "    def make(cls, n=0):\n"
+        "        return cls(fill=n)\n"
+        "used(0, 1)\n"
+        "Box(2).grow(by=3)\n"
+    )
+    found = _unset_defaults(ast.parse(snippet))
+    assert sorted(found) == [(1, "used(c)"), (1, "used(d)"), (3, "dead(x)"), (13, "make(n)")]
+
+
+def test_every_public_default_is_set_by_the_library():
+    # a default no library caller sets is a knob that does nothing for the
+    # library: delete it, or allowlist it above with the reason it stays
+    tree = ast.Module(
+        body=[n for p in SOURCES for n in ast.parse(p.read_text(), str(p)).body], type_ignores=[]
+    )
+    found = [(line, name) for line, name in _unset_defaults(tree) if name not in UNSET_DEFAULTS]
+    assert not found, found
+    assert set(UNSET_DEFAULTS) <= {name for _, name in _unset_defaults(tree)}, "stale allowlist"

@@ -16,6 +16,7 @@ from ccsym.projline import (
     tame_symbol_at_point,
     weil_check,
 )
+from ccsym.parsing import parse_element, parse_ring
 from ccsym.randgen import draw_sections, draw_split_pair
 from ccsym.rings import (
     IntegersModPrimePower,
@@ -293,6 +294,7 @@ def test_binomial_series_matches_the_inverse_route(ring):
         )
         for pt in points:
             nilpotent_offset = not pt.at_infinity and not ring.is_unit(ring.sub(pt.value, s))
+            unit_base = ring.is_unit(s if pt.at_infinity else ring.sub(pt.value, s))
             for n in range(-7, 8):
                 for rel_prec in (1, 2, 5, 9):
                     old, old_err = _outcome(_power_by_inverse, ring, s, n, pt, rel_prec)
@@ -301,6 +303,11 @@ def test_binomial_series_matches_the_inverse_route(ring):
                         # an exact finite sum, which the inverse route cut
                         assert new_err is None and new.prec == INF
                         assert old_err is not None or new.agrees_with(old)
+                        continue
+                    if unit_base and n >= rel_prec:
+                        # the exact power of a unit base, cut to the terms asked for
+                        assert old_err is new_err is None and old.prec == INF
+                        assert new.prec == new.ell + rel_prec and new.agrees_with(old)
                         continue
                     assert new_err == old_err
                     if old_err is None:
@@ -381,3 +388,20 @@ def test_global_two_form_checks_orders_of_zero_terms(order):
         GlobalTwoForm(A2, poles={A2.one: {order: zero, 1: AOneForm(A2, A2.one)}})
     with pytest.raises(CCSymError, match="pole orders must be >= 1"):
         GlobalTwoForm(A2, poles={A2.one: {order: zero}})
+
+
+@pytest.mark.parametrize("spec, nilpotent", [("F3[e]/(e^2)", "e"), ("Q[e]/(e^3)", "e"), ("Z/9", "3")])
+def test_binomial_series_work_does_not_follow_the_exponent(spec, nilpotent):
+    # (x - s)^n for n = 10^6: a unit base gives the one term asked for at
+    # rel_prec 1, a nilpotent one its n_c terms, exactly
+    ring = parse_ring(spec)
+    a, n = parse_element(ring, nilpotent), 10**6
+    n_c = len(ring.nilpotent_powers(a))
+    for s, pt, ell, terms, prec in (
+        (ring.zero, SectionPoint.affine(ring.one), 0, 1, 1),
+        (ring.one, INF_PT, -n, 1, 1 - n),
+        (ring.zero, SectionPoint.affine(a), n + 1 - n_c, n_c, INF),
+        (a, INF_PT, -n, n_c, INF),
+    ):
+        out = _linear_power(ring, s, n, pt, 1)
+        assert (out.ell, len(out.coeffs), out.prec) == (ell, terms, prec)

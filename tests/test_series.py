@@ -138,8 +138,8 @@ def test_substitute():
     t = LaurentSeries.t_power(F5, 1)
     sigma = s(F5, {1: 1, 2: 1})
     assert t.substitute(sigma) == sigma
-    # the inverse example: exact sigma, requested window
-    out = LaurentSeries.t_power(F5, -1).substitute(s(F5, {1: 1, 2: 4}), prec=2)
+    # the inverse example: exact sigma, cut window
+    out = LaurentSeries.t_power(F5, -1).substitute(s(F5, {1: 1, 2: 4})).truncate(2)
     assert out == s(F5, {-1: 1, 0: 1, 1: 1}, prec=2)
     with pytest.raises(NotAUniformizer):
         t.substitute(s(F5, {0: 1, 1: 1}))
@@ -152,7 +152,7 @@ def test_substitute():
 def test_substitute_pole_below_window():
     # t^-3 stores one coefficient; the t^-2 and t^-1 slots lie past its end
     sigma = parse_series(F5, "t + t^2")
-    out = parse_series(F5, "t^-3").substitute(sigma, prec=5)
+    out = parse_series(F5, "t^-3").substitute(sigma).truncate(5)
     assert out.ell == -3 and out.agrees_with(sigma ** -3)
 
 
@@ -160,7 +160,7 @@ def test_substitute_pole_keeps_requested_window():
     # sigma^-k is known to O(t^(N-k+1)) from sigma^-1 known to O(t^N); with
     # N = prec + depth every power reaches the requested window
     sigma = parse_series(F5, "t + t^2")
-    out = parse_series(F5, "t^-3").substitute(sigma, prec=5)
+    out = parse_series(F5, "t^-3").substitute(sigma).truncate(5)
     assert out.prec == 5 and out == (sigma.inverse(prec=40) ** 3).truncate(5)
     rng = random.Random(4)
     for _ in range(20):
@@ -173,14 +173,14 @@ def test_substitute_pole_keeps_requested_window():
         for i in range(f.ell, f.end()):
             power = sig_inv ** -i if i < 0 else sigma ** i
             exact = exact + power.scalar_mul(f.coeff(i))
-        out = f.substitute(sigma, prec=prec)
+        out = f.substitute(sigma).truncate(prec)
         assert out.prec == prec and out == exact.truncate(prec)
 
 
 def test_substitute_at_or_below_the_pole_order():
     # f(sigma) has order >= ell(f), so a window ending there is known to be zero
     sigma = parse_series(F7, "t + t^2")
-    assert parse_series(F7, "t^-1 + 1").substitute(sigma, prec=-1) == LaurentSeries.zero(F7, -1)
+    assert parse_series(F7, "t^-1 + 1").substitute(sigma).truncate(-1) == LaurentSeries.zero(F7, -1)
     rng = random.Random(11)
     for _ in range(20):
         depth = rng.randint(1, 4)
@@ -189,8 +189,36 @@ def test_substitute_at_or_below_the_pole_order():
         f = s(F7, terms)
         sigma = s(F7, {1: rng.randrange(1, 7), 2: rng.randrange(7), 3: rng.randrange(7)})
         full = f.substitute(sigma)
-        for prec in range(f.ell - 2, 6):
-            assert f.substitute(sigma, prec=prec) == full.truncate(prec), (f, sigma, prec)
+        lead = F7.mul(f.coeff(f.ell), F7.pow(sigma.coeff(1), f.ell))
+        assert full.ell == f.ell and full.coeff(f.ell) == lead, (f, sigma)
+        for prec in range(f.ell - 2, f.ell + 1):
+            assert full.truncate(prec) == LaurentSeries.zero(F7, prec), (f, sigma, prec)
+
+
+# f(sigma) printed with its O-term: poles, cut f and sigma known to O(t^N)
+SUBSTITUTE_PINS = [
+    ("F5", "t^-1", "t + 4*t^2 + O(t^6)", "t^-1+1+t+t^2+t^3+O(t^4)"),
+    ("F7", "2*t^-2 + 3 + t + O(t^4)", "3*t + t^2 + O(t^8)", "t^-2+4*t^-1+1+4*t^2+3*t^3+O(t^4)"),
+    ("F3[e]/(e^2)", "e*t^-2 + t^-1 + 1 + O(t^3)", "(1+e)*t + e*t^2 + O(t^7)",
+     "e*t^-2+(1+2*e)*t^-1+1+2*e+O(t^3)"),
+    ("Q", "1/2*t^-1 + t^2", "2*t - t^3 + O(t^5)", "1/4*t^-1+1/8*t+4*t^2+O(t^3)"),
+    ("Q[e]/(e^2)", "(1+e)*t^-3 + O(t^0)", "t + e*t^2 + O(t^6)", "(1+e)*t^-3-3*e*t^-2+O(t^0)"),
+    ("Z/9", "3*t^-2 + 1 + O(t^5)", "2*t + 3*t^2 + O(t^8)", "3*t^-2+1+O(t^5)"),
+    ("F2[e]/(e^3)", "t^-4 + e*t + O(t^2)", "t + t^2 + O(t^16)", "t^-4+1+e*t+O(t^2)"),
+    ("Z/25", "t^-1 + 5*t + O(t^6)", "t + 5*t^3 + O(t^9)", "t^-1+O(t^6)"),
+    ("F5", "1 + t + t^2", "2*t + O(t^4)", "1+2*t+4*t^2+O(t^4)"),
+    ("F5", "O(t^3)", "t", "O(t^3)"),
+    # an exact sigma: sigma^-1 is expanded below DEFAULT_PRECISION
+    ("F5", "t^-2 + t", "t + t^2",
+     "t^-2+3*t^-1+3+2*t+t^2+4*t^3+2*t^4+2*t^5+4*t^6+t^8+3*t^9+3*t^10+t^11"
+     "+4*t^13+2*t^14+2*t^15+4*t^16+t^18+3*t^19+3*t^20+t^21+O(t^22)"),
+]
+
+
+@pytest.mark.parametrize("ring, f, sigma, expected", SUBSTITUTE_PINS)
+def test_substitute_pinned_values(ring, f, sigma, expected):
+    ring = parse_ring(ring)
+    assert parse_series(ring, f).substitute(parse_series(ring, sigma)).format() == expected
 
 
 def test_substitute_multiplicative_and_winding():
