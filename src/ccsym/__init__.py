@@ -71,7 +71,6 @@ from .rings import (
     truncation_map,
 )
 from .series import INF, LaurentSeries
-from .suites import Report, SuiteConfig, run_suite
 from .symbols import (
     KatoValue,
     MHatElement,
@@ -86,4 +85,16 @@ from .symbols import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: names read from ccsym.suites on first use, so that importing ccsym does
+#: not load the suites, the random generators or json and dataclasses
+_SUITE_NAMES = ("Report", "SuiteConfig", "run_suite")
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_SUITE_NAMES)
+
+
+def __getattr__(name):
+    if name in _SUITE_NAMES:
+        from . import suites
+
+        return getattr(suites, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

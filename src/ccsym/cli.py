@@ -32,6 +32,9 @@ from .projline import (
 from .suites import SUITES, SuiteConfig, run_suite
 from .symbols import contou_carrere, kato_residue, witt_decompose
 
+#: the suites whose default rings --xprec sizes; it does nothing elsewhere
+XPREC_SUITES = ("lemma35", "precision-coherence")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -77,7 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--ring", action="append", default=[], help="repeatable ring spec")
     suite.add_argument("--cases", type=int, default=100)
     suite.add_argument("--seed", type=int, default=0)
-    suite.add_argument("--xprec", type=int, default=4)
+    suite.add_argument(
+        "--xprec", type=int, help="level of the default rings of " + " and ".join(XPREC_SUITES)
+    )
     suite.add_argument("--exponent-bound", type=int, default=6)
     suite.add_argument("--format", choices=("text", "json"), default="text")
     suite.add_argument("--out", default="", help="write the report to a file")
@@ -180,13 +185,18 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_suite(args, out) -> int:
+    if args.xprec is not None and (args.name not in XPREC_SUITES or args.ring):
+        raise CCSymError(
+            "--xprec sizes only the default rings of " + " and ".join(XPREC_SUITES)
+            + "; it does nothing with --ring or for another suite"
+        )
     config = SuiteConfig(
         suite=args.name,
         rings=tuple(args.ring),
         cases=args.cases,
         seed=args.seed,
         exponent_bound=args.exponent_bound,
-        xprec=args.xprec,
+        xprec=SuiteConfig.xprec if args.xprec is None else args.xprec,
     )
     report = run_suite(config)
     text = report.to_json() if args.format == "json" else report.to_text()

@@ -1,10 +1,12 @@
 """Text grammars: ring specs, elements, series, rational functions, forms.
 
 Ring specs look like "F5", "Q", "F3[e]/(e^2)", "Q[e]/(e^3)", "Z/25" (or
-"Z/5^2"); "Z/5" and "F5" name the same ring.  Every other text is read by
-the one recursive-descent ``_ExpressionParser`` (its docstring lists the
-productions), which tokenizes the text once and reports each error at its
-position in the whole text:
+"Z/5^2"); "Z/5" and "F5" name the same ring.  parse_ring returns one object
+per spec text, and refuses a generator named t, the series variable.  Every
+other text is read by the one recursive-descent ``_ExpressionParser`` (its
+docstring lists the productions), which tokenizes the text once, reports
+each error at its position in the whole text, and builds one
+LaurentSeries per parsed value, its exact parts read as coefficient dicts:
 
 - elements: integer/rational expressions in the nilpotent generator;
 - series: the same plus the variable and an optional precision marker,
@@ -55,15 +57,26 @@ _RING_PATTERNS = [
 ]
 
 
+#: parse_ring's rings by spec text, so each spec names one object
+_RINGS: dict = {}
+
+
 def parse_ring(text: str) -> Ring:
+    """The ring a spec names; the same object every time for the same text."""
+    ring = _RINGS.get(text)
+    if ring is not None:
+        return ring
     compact = re.sub(r"\s+", "", text)
     for pattern, build in _RING_PATTERNS:
         m = pattern.match(compact)
         if m:
             try:
-                return build(m)
+                ring = build(m)
             except UnsupportedRing as exc:
                 raise ParseError(f"bad ring spec {text!r}: {exc}") from exc
+            if ring.gen == "t":
+                raise ParseError(f"bad ring spec {text!r}: t is the series variable")
+            return _RINGS.setdefault(text, ring)
     raise ParseError(f"unrecognized ring spec {text!r}")
 
 
@@ -84,6 +97,35 @@ def _tokenize(text: str):
     return tokens
 
 
+def _merged(ring: Ring, a: dict, b: dict) -> dict:
+    """a + b, exact values as {index: nonzero coefficient} dicts."""
+    out, zero, add = dict(a), ring.zero, ring.add
+    for k, c in b.items():
+        if k in out:
+            c = add(out[k], c)
+            if c == zero:
+                del out[k]
+                continue
+        out[k] = c
+    return out
+
+
+def _convolved(ring: Ring, a: dict, b: dict) -> dict:
+    """a * b, exact values as {index: nonzero coefficient} dicts."""
+    out, mul, add = {}, ring.mul, ring.add
+    for i, x in a.items():
+        for j, y in b.items():
+            k, c = i + j, mul(x, y)
+            out[k] = add(out[k], c) if k in out else c
+    zero = ring.zero  # elements are canonical: zero is one value
+    return {k: c for k, c in out.items() if c != zero}
+
+
+def _series(ring: Ring, value) -> LaurentSeries:
+    """A parsed value as a series: an exact one is its coefficient dict."""
+    return LaurentSeries.from_terms(ring, value) if type(value) is dict else value
+
+
 class _ExpressionParser:
     """Recursive-descent reader of one text into Laurent series values.
 
@@ -102,6 +144,13 @@ class _ExpressionParser:
 
     mhat := 'x' ['^' exponent] '*' product when that product ends the
     text; otherwise the whole text is the unit's sum.
+
+    An exact value is a dict {index: nonzero coefficient}: sums merge,
+    products convolve, and a monomial c*t^k has the power c^n*t^(kn), for
+    n < 0 when c is a unit.  A value with an O-term, and the inverse or
+    power of any other exact value, is a LaurentSeries and combines as one,
+    so precision, NonUnit messages and long products come from the series
+    alone; _series makes the one series of a value that stayed exact.
     """
 
     def __init__(self, text: str, ring: Ring, variables: dict, forms: bool = False):
@@ -143,44 +192,82 @@ class _ExpressionParser:
         if kind != "end":
             raise ParseError("trailing input", self.text, pos)
 
-    def parse(self) -> LaurentSeries:
+    def parse(self):
         value = self.sum()
         self.finish()
         return value
 
-    def element(self, value: LaurentSeries, pos: int):
-        """value as a ring element: exact and constant."""
-        if value.is_zero_series and value.prec == INF:
-            return self.ring.zero
-        if value.ell != 0 or len(value.coeffs) != 1 or value.prec != INF:
-            raise ParseError("not a ring element", self.text, pos)
-        return value.coeff(0)
+    # -- values: exact dicts, or series --------------------------------------
 
-    def sum(self) -> LaurentSeries:
+    def plus(self, a, b):
+        if type(a) is dict and type(b) is dict:
+            return _merged(self.ring, a, b)
+        return _series(self.ring, a) + _series(self.ring, b)
+
+    def negated(self, a):
+        if type(a) is dict:
+            neg = self.ring.neg
+            return {k: neg(c) for k, c in a.items()}
+        return -a
+
+    def times(self, a, b):
+        if type(a) is dict and type(b) is dict:
+            return _convolved(self.ring, a, b)
+        return _series(self.ring, a) * _series(self.ring, b)
+
+    def reciprocal(self, a):
+        ring = self.ring
+        if type(a) is dict and len(a) == 1:
+            [(k, c)] = a.items()
+            if ring.is_unit(c):
+                return {-k: ring.inv(c)}
+        return _series(ring, a).inverse()
+
+    def power(self, a, n: int):
+        if n < 0:
+            a, n = self.reciprocal(a), -n
+        if type(a) is dict and len(a) == 1:  # (c*t^k)^n = c^n*t^(kn)
+            [(k, c)] = a.items()
+            c = self.ring.pow(c, n)
+            return {k * n: c} if c != self.ring.zero else {}
+        return _series(self.ring, a) ** n
+
+    def element(self, value, pos: int):
+        """value as a ring element: exact and constant."""
+        if type(value) is dict:
+            if value.keys() <= {0}:
+                return value.get(0, self.ring.zero)
+        elif value.prec == INF and (not value.coeffs or (value.ell, len(value.coeffs)) == (0, 1)):
+            return value.coeff(0)
+        raise ParseError("not a ring element", self.text, pos)
+
+    # -- grammar ---------------------------------------------------------------
+
+    def sum(self):
         value = self.product()
         while self.at_op("+-"):
             op = self.next()[1]
             rhs = self.product()
-            value = value + rhs if op == "+" else value - rhs
+            value = self.plus(value, rhs if op == "+" else self.negated(rhs))
         return value
 
-    def product(self) -> LaurentSeries:
+    def product(self):
         value = self.unary()
         while self.at_op("*/"):
             if self.forms and self.differential(self.i + 1):
                 return value
             op = self.next()[1]
             rhs = self.unary()
-            value = value * rhs if op == "*" else value * rhs.inverse()
+            value = self.times(value, rhs if op == "*" else self.reciprocal(rhs))
         return value
 
-    def unary(self) -> LaurentSeries:
+    def unary(self):
         if self.skip("-"):
-            return -self.unary()
+            return self.negated(self.unary())
         if self.skip("+"):
             return self.unary()
         base = self.atom()
-        return base ** self.exponent() if self.skip("^") else base
+        return self.power(base, self.exponent()) if self.skip("^") else base
 
     def exponent(self) -> int:
         kind, value, pos = self.next()
@@ -197,10 +284,11 @@ class _ExpressionParser:
             raise ParseError("expected integer exponent", self.text, pos)
         return value
 
-    def atom(self) -> LaurentSeries:
+    def atom(self):
         kind, value, pos = self.next()
         if kind == "num":
-            return LaurentSeries.constant(self.ring, self.ring.from_int(value))
+            c = self.ring.from_int(value)
+            return {0: c} if c != self.ring.zero else {}
         if kind == "(":
             inner = self.sum()
             self.expect_op(")")
@@ -216,7 +304,7 @@ class _ExpressionParser:
     def big_o(self) -> LaurentSeries:
         self.expect_op("(")
         kind, value, pos = self.next()
-        if kind != "name" or value not in self.variables or self.variables[value].ell != 1:
+        if kind != "name" or self.variables.get(value, {}).keys() != {1}:
             raise ParseError("O(...) needs the series variable", self.text, pos)
         n = self.exponent() if self.skip("^") else 1
         self.expect_op(")")
@@ -254,8 +342,8 @@ class _ExpressionParser:
             else:
                 value = self.unary()
                 while self.skip("/"):
-                    value = value * self.unary().inverse()
-                constant = value if constant is None else constant * value
+                    value = self.times(value, self.reciprocal(self.unary()))
+                constant = value if constant is None else self.times(constant, value)
             star = self.peek()[2]
             if not self.skip("*"):
                 return constant, factors
@@ -268,7 +356,7 @@ class _ExpressionParser:
             rhs, more = self.factored()
             if factors or more:
                 raise ParseError("a sum around a linear factor", self.text, pos)
-            constant = constant + rhs if op == "+" else constant - rhs
+            constant = self.plus(constant, rhs if op == "+" else self.negated(rhs))
         self.finish()
         return self.ring.one if constant is None else self.element(constant, start), factors
 
@@ -313,16 +401,16 @@ def _generator_variables(ring: Ring) -> dict:
     """The nilpotent generator by name, for k[e]/(e^m) with m >= 2 only."""
     if ring.is_field or not ring.has_section:
         return {}
-    return {ring.gen: LaurentSeries.constant(ring, ring.generator())}
+    return {ring.gen: {0: ring.generator()}}
 
 
 def _series_variables(ring: Ring, var: str) -> dict:
-    return {var: LaurentSeries.t_power(ring, 1), **_generator_variables(ring)}
+    return {var: {1: ring.one}, **_generator_variables(ring)}
 
 
 def parse_series(ring: Ring, text: str) -> LaurentSeries:
     """A Laurent series in t, exact or cut by its '+ O(t^N)'."""
-    return _ExpressionParser(text, ring, _series_variables(ring, "t")).parse()
+    return _series(ring, _ExpressionParser(text, ring, _series_variables(ring, "t")).parse())
 
 
 def parse_element(ring: Ring, text: str):
@@ -340,7 +428,7 @@ def parse_rational_function(ring: Ring, text: str):
 def parse_mhat(ring: Ring, text: str):
     """x^e * (series in z); a bare series means exponent zero."""
     exponent, unit = _ExpressionParser(text, ring, _series_variables(ring, "z")).mhat()
-    return MHatElement(ring, exponent, unit)
+    return MHatElement(ring, exponent, _series(ring, unit))
 
 
 def parse_form(ring: Ring, text: str):
@@ -348,10 +436,10 @@ def parse_form(ring: Ring, text: str):
     one-form as the printers write it."""
     dgen = "d" + ring.gen
     parser = _ExpressionParser(text, ring, _series_variables(ring, "t"), forms=True)
-    parts = {slot: LaurentSeries.zero(ring) for slot in ("dt", "de", "h")}
+    zero = LaurentSeries.zero(ring)
     if [tok[:2] for tok in parser.tokens] == [("num", 0), ("end", None)]:
-        return OneForm(parts["dt"], parts["de"])
-    seen = set()
+        return OneForm(zero, zero)
+    parts, seen = {"dt": {}, "de": {}, "h": {}}, set()
     for _, sign, coeff, name in parser.terms(("dt", dgen)):
         slot = "dt" if name == "dt" else "de"
         if name == dgen and parser.skip("^"):
@@ -359,14 +447,15 @@ def parse_form(ring: Ring, text: str):
             if value != "dt":
                 raise ParseError("expected 'dt'", text, pos)
             slot = "h"
-        coeff = LaurentSeries.one(ring) if coeff is None else coeff
-        parts[slot] = parts[slot] + (-coeff if sign < 0 else coeff)
+        coeff = {0: ring.one} if coeff is None else coeff
+        parts[slot] = parser.plus(parts[slot], parser.negated(coeff) if sign < 0 else coeff)
         seen.add(slot)
+    dt, de, h = (_series(ring, parts[slot]) for slot in ("dt", "de", "h"))
     if "h" in seen:
         if len(seen) > 1:
             raise ParseError("mixed one-form and two-form terms", text, 0)
-        return TwoForm(parts["h"])
-    return OneForm(parts["dt"], parts["de"])
+        return TwoForm(h)
+    return OneForm(dt, de)
 
 
 def parse_global_two_form(ring: Ring, text: str):

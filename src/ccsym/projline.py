@@ -16,8 +16,6 @@ SectionCollision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     CCSymError,
     MixedRings,
@@ -212,13 +210,26 @@ def tame_symbol_at_point(
     return acc
 
 
-@dataclass
 class ReciprocityResult:
     """Product of the per-point symbols and whether it collapses to one."""
 
-    product: object
-    passed: bool
-    per_point: list
+    __slots__ = ("product", "passed", "per_point")
+
+    def __init__(self, product, passed: bool, per_point: list):
+        self.product = product
+        self.passed = passed
+        self.per_point = per_point
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, k) for k in self.__slots__] == [getattr(other, k) for k in self.__slots__]
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(product={self.product!r}, "
+            f"passed={self.passed!r}, per_point={self.per_point!r})"
+        )
 
     def __bool__(self):
         return self.passed

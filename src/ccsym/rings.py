@@ -14,9 +14,11 @@ only through ring methods.  Every element of a local ring here is either
 a unit (nonzero residue) or nilpotent.  Up to STRAIGHT_LINE_ORDER, a
 k[e]/(e^m) ring's arithmetic is straight-line code generated once per
 (p, m) by _kernels and bound on the ring, so ``ring.mul(x, y)`` calls it
-directly.  ``ring.sweep(v, a, ks, off)`` runs v[k] += a*v[k + off] over a
-window in place, the one recurrence of series division and peeling: a loop
-on Ring, one expression per slot on Z/p^m and in the generated kernels.
+directly; ``ring.inv(x)`` is a generated back-substitution bound on the
+ring, so that its NonUnit message names the ring.  ``ring.sweep(v, a, ks,
+off)`` runs v[k] += a*v[k + off] over a window in place, the one recurrence
+of series division and peeling: a loop on Ring, one expression per slot on
+Z/p^m and in the generated kernels.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import types
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -329,7 +332,7 @@ class IntegersModPrimePower(Ring):
         return f"F{self.p}" if self.m == 1 else f"Z/{self.pm}"
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, IntegersModPrimePower)
             and other.p == self.p
             and other.m == self.m
@@ -443,6 +446,11 @@ def _reduced(nums, den):
     return (*[n // g for n in nums], den // g)
 
 
+def _non_unit(ring: Ring, x) -> NonUnit:
+    """The error for inverting the non-unit x of a k[e]/(e^m) ring."""
+    return NonUnit(f"{ring.format_element(x)} is not a unit of {ring}")
+
+
 def _truncated_product(x, y, m: int) -> list:
     """The first m coefficients of the product of the integer vectors x and y."""
     acc = [0] * m
@@ -467,14 +475,18 @@ STRAIGHT_LINE_ORDER = 32
 def _kernels(p: int, m: int) -> dict:
     """Straight-line arithmetic on the elements of k[e]/(e^m), by name.
 
-    Over F_p (p prime): ``add``, ``sub``, ``neg``, ``mul``, ``dot`` and
-    ``sweep`` on tuples of m coefficients in [0, p).  Over Q (p = 0):
-    ``mul`` and ``sweep`` on the tuples (n_0, ..., n_{m-1}, d).  Each
-    function unpacks its arguments into locals and writes every coefficient
-    out, so no loop runs per coefficient; ``sweep`` (see Ring.sweep) forms
-    y + a*x in one expression per slot, one ``% p`` per coefficient over F_p
-    and one _reduced over Q.  The text is built from the ints p and m alone,
-    never from ring text.  Empty above STRAIGHT_LINE_ORDER.
+    Over F_p (p prime): ``add``, ``sub``, ``neg``, ``mul``, ``dot``,
+    ``sweep`` and ``inv`` on tuples of m coefficients in [0, p).  Over Q
+    (p = 0): ``mul``, ``sweep`` and ``inv`` on the tuples (n_0, ..., n_{m-1},
+    d).  Each function unpacks its arguments into locals and writes every
+    coefficient out, so no loop runs per coefficient; ``sweep`` (see
+    Ring.sweep) forms y + a*x in one expression per slot, one ``% p`` per
+    coefficient over F_p and one gcd reduction over Q, _reduced written out
+    in place, as in ``mul`` and ``inv`` there.  ``inv(ring, x)`` is the
+    back-substitution of the class methods, one expression per coefficient;
+    it takes the ring to name it in its NonUnit message, and the ring binds
+    it as a method.  The text is built from the ints p and m alone, never
+    from ring text.  Empty above STRAIGHT_LINE_ORDER.
     """
     p, m = operator.index(p), operator.index(m)
     if m > STRAIGHT_LINE_ORDER:
@@ -490,16 +502,38 @@ def _kernels(p: int, m: int) -> dict:
     sums = "".join(f"        {a} += {c}\n" for a, c in zip(acc, conv("x", "y")))
 
     def out(cs):
-        """The tuple of the expressions cs, each reduced mod p over F_p."""
-        return "(" + "".join(f"({c}) % {p}, " if p else f"{c}, " for c in cs) + ")"
+        """The tuple of the expressions cs, each reduced mod p (over F_p)."""
+        return "(" + "".join(f"({c}) % {p}, " for c in cs) + ")"
+
+    def back(k, y, w=""):
+        """-(sum of x_i*y_{k-i}[*w_{i-1}] over 0 < i <= k): step k of the
+        back-substitution of inv."""
+        return "-(" + " + ".join(
+            f"x{i}*{y}{k - i}" + (f"*{w}{i - 1}" if w else "") for i in range(1, k + 1)
+        ) + ")"
+
+    def reduced(target, cs, den, pad):
+        """Lines giving target (``return `` or ``v[k] = ``) the tuple (*cs,
+        den) over Q divided by the gcd g of its entries: _reduced written
+        out, with no call and no list."""
+        ns, cut = "".join(f"n{i}, " for i in range(m)), "".join(f"n{i} // g, " for i in range(m))
+        lines = [f"n{i} = {c}" for i, c in enumerate(cs)] + [
+            f"den = {den}",
+            f"g = _gcd(den, {ns})",
+            f"{target}({ns}den) if g == 1 else ({cut}den // g)",
+        ]
+        return "".join(f"{pad}{line}\n" for line in lines)
 
     # sweep compares x = v[k + off] with the zero tuple, a constant
     if p == 0:
+        powers = "".join(f"    w{j} = w{j - 1}*x0\n" for j in range(1, m + 1))
+        steps = "".join(f"    q{k} = {back(k, 'q', 'w')}\n" for k in range(1, m))
+        terms = (f"y{i}*d + ({c})*dy" for i, c in enumerate(conv("a", "x")))
         source = f"""
 def mul(x, y):
     {xs}dx = x
     {ys}dy = y
-    return _reduced({out(conv("x", "y"))}, dx*dy)
+{reduced("return ", conv("x", "y"), "dx*dy", "    ")}\
 def sweep(v, a, ks, off):
     {as_}da = a
     for k in ks:
@@ -508,9 +542,18 @@ def sweep(v, a, ks, off):
             {xs}dx = x
             {ys}dy = v[k]
             d = da*dx
-            v[k] = _reduced({out(f"y{i}*d + ({c})*dy" for i, c in enumerate(conv("a", "x")))}, dy*d)
+{reduced("v[k] = ", terms, "dy*d", "            ")}\
+def inv(ring, x):
+    {xs}dx = x
+    if not x0:
+        raise _non_unit(ring, x)
+    q0 = w0 = 1
+{powers}{steps}    if w{m} < 0:
+        dx, w{m} = -dx, -w{m}
+{reduced("return ", (f"dx*q{k}*w{m - 1 - k}" for k in range(m)), f"w{m}", "    ")}\
 """
     else:
+        steps = "".join(f"    y{k} = y0*{back(k, 'y')} % {p}\n" for k in range(1, m))
         source = f"""
 def add(x, y):
     {xs}= x
@@ -539,8 +582,14 @@ def sweep(v, a, ks, off):
             {xs}= x
             {ys}= v[k]
             v[k] = {out(f"y{i} + {c}" for i, c in enumerate(conv("a", "x")))}
+def inv(ring, x):
+    {xs}= x
+    if not x0:
+        raise _non_unit(ring, x)
+    y0 = pow(x0, -1, {p})
+{steps}    return ({ys})
 """
-    namespace = {"_reduced": _reduced}
+    namespace = {"_gcd": gcd, "_non_unit": _non_unit}
     exec(compile(source, f"<kernels p={p} m={m}>", "exec"), namespace)
     return {name: op for name, op in namespace.items() if not name.startswith("_")}
 
@@ -587,9 +636,11 @@ class TruncatedPolynomialRing(Ring):
         self.zero = self.lift(base.zero)
         self.one = self.lift(base.one)
         # the kernels shadow the class methods; a subclass keeps its own
-        # methods, so an override (a counting mul, say) stays in force
+        # methods, so an override (a counting mul, say) stays in force.  inv
+        # takes the ring as well, to name it in its NonUnit message
         if type(self) in (TruncatedPolynomialRing, RationalTruncatedRing):
-            vars(self).update(_kernels(self.characteristic, order))
+            for name, op in _kernels(self.characteristic, order).items():
+                setattr(self, name, types.MethodType(op, self) if name == "inv" else op)
 
     def at_order(self, order: int) -> TruncatedPolynomialRing:
         """k[e]/(e^order) over the same base field and generator name."""
@@ -646,7 +697,7 @@ class TruncatedPolynomialRing(Ring):
         # Triangular back-substitution on c0*(1 + nilpotent part).
         base = self.base
         if not base.is_unit(x[0]):
-            raise NonUnit(f"{self.format_element(x)} is not a unit of {self}")
+            raise _non_unit(self, x)
         c0inv = base.inv(x[0])
         out = [c0inv] + [base.zero] * (self.order - 1)
         for d in range(1, self.order):
@@ -723,7 +774,7 @@ class TruncatedPolynomialRing(Ring):
         return f"{self.base}[{self.gen}]/({self.gen}^{self.order})"
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, TruncatedPolynomialRing)
             and other.base == self.base
             and other.order == self.order
@@ -823,7 +874,7 @@ class RationalTruncatedRing(TruncatedPolynomialRing):
         # x^-1 = sum d q_k n0^(m-1-k) e^k / n0^m.
         m, n0 = self.order, x[0]
         if not n0:
-            raise NonUnit(f"{self.format_element(x)} is not a unit of {self}")
+            raise _non_unit(self, x)
         q = [1]
         for k in range(1, m):
             q.append(-sum(x[i] * q[k - i] * n0 ** (i - 1) for i in range(1, k + 1)))

@@ -12,21 +12,23 @@ coefficient vectors are packed into integers, multiplied once, unpacked.
 A unit splits once as f = t^w * h / G, h in A[[t]] with unit constant
 term and G the exact product of the geometric inverses of the peeled
 nilpotent negative tail; inverse, dlog and unit coordinates are read
-from this split, which the series keeps.  Each peeled factor divides
-t^-w*f*G and G in place, no series product, and h = t^-w*f*G is known
-below (f.prec - w) + ell(G).  The split owns the canonical coordinates
-a_{-i} of B = 1/G = prod (1 - a_{-i} t^-i), kept as B's coefficient list
-in s = t^-1 and read once by the peeling recurrence (_peel) that the
-positive coordinates use too.  The divisions, B's update and the peel all
-run one ring kernel, ``ring.sweep``, over their windows.  Neither the
-split nor the peel scales a series by its leading constant.
+from this split, which the series keeps.  A unit whose leading
+coefficient is a unit has no tail and splits with G = 1 and no peel.
+Each peeled factor divides t^-w*f*G and G in place, no series product,
+and h = t^-w*f*G is known below (f.prec - w) + ell(G).  The split owns
+the canonical coordinates a_{-i} of B = 1/G = prod (1 - a_{-i} t^-i),
+kept as B's coefficient list in s = t^-1 and read once by the peeling
+recurrence (_peel) that the positive coordinates use too.  The
+divisions, B's update and the peel all run one ring kernel,
+``ring.sweep``, over their windows.  Neither the split nor the peel
+scales a series by its leading constant.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import (
     IndeterminateAtPrecision,
@@ -125,7 +127,7 @@ class LaurentSeries:
         return i < self.prec
 
     def _check(self, other: LaurentSeries) -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise MixedRings(f"cannot mix series over {self.ring} and {other.ring}")
 
     # -- ring operations ---------------------------------------------------
@@ -336,16 +338,13 @@ class LaurentSeries:
         return f"LaurentSeries({self.ring}, {self.format()})"
 
 
-class _UnitSplit(NamedTuple):
+class _UnitSplit(namedtuple("_UnitSplit", "w neg geom h")):
     """f = t^w * h / G; ``neg`` maps i to the canonical a_{-i} of
     1/G = prod (1 - a_{-i} t^-i), ``geom`` is G, and h, whose constant
     term is the unit a0 of the coordinates, is known below
     (f.prec - w) + ell(G)."""
 
-    w: int
-    neg: dict
-    geom: LaurentSeries
-    h: LaurentSeries
+    __slots__ = ()
 
     def h_inverse(self, cap=None) -> LaurentSeries:
         """h^-1, exact for constant h, else cut at t^cap (or DEFAULT_PRECISION)."""
@@ -370,6 +369,8 @@ def _split_unit(f: LaurentSeries) -> _UnitSplit:
     is never scaled.  Each step divides the windows of h0*G and G by the
     factor in place (_divide_binomial), forming no series product; h = h0*G
     is known below (f.prec - w) + ell(G).  Raises when f is too short to fix G.
+    When f's leading coefficient is a unit there is nothing to peel: G = 1,
+    h = t^-w*f, and no coordinate is read.
 
     B = 1/G is kept exactly alongside G as its coefficient list in s = t^-1,
     constant first: each step multiplies it by (1 - a*s^|d|), one downward
@@ -391,7 +392,10 @@ def _split_unit(f: LaurentSeries) -> _UnitSplit:
     w = f.winding_number()
     # hg = h0*G from t^lo, h0 known below t^top; G ends at its constant, t^0
     lo, top = f.ell - w, f.prec - w
-    hg, geom = list(f.coeffs) if lo < 0 else f.coeffs, [ring.one]  # no tail: kept as is
+    if lo == 0:  # no negative tail: G = 1 and h = t^-w*f
+        f._split = _UnitSplit(w, {}, LaurentSeries.one(ring), LaurentSeries(ring, 0, f.coeffs, top))
+        return f._split
+    hg, geom = list(f.coeffs), [ring.one]
     c_inv = ring.inv(hg[-lo])
     zero, b = ring.zero, [ring.one]  # B in s = t^-1, constant first
     budget = 64 + 16 * ring.nilpotency_index * (1 + max(0, -lo))

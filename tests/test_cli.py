@@ -155,6 +155,32 @@ def test_suite_parameters_below_one_exit_code(capsys):
         assert err.startswith("error: ") and field in err and "Traceback" not in err
 
 
+def test_suite_xprec_only_where_it_sizes_rings(capsys):
+    # --xprec sizes the default rings of two suites; elsewhere it is refused
+    for args in (
+        ["weil", "--xprec", "2"],
+        ["lemma35", "--ring", "F5[x]/(x^3)", "--xprec", "3"],
+        ["precision-coherence", "--ring", "F5[x]/(x^3)", "--xprec", "4"],
+    ):
+        code, out = run(["suite", *args, "--cases", "2"])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert "lemma35" in err and "precision-coherence" in err and "Traceback" not in err
+    for name in ("lemma35", "precision-coherence"):
+        base = ["suite", name, "--cases", "3", "--seed", "1"]
+        assert run(base) == run([*base, "--xprec", "4"])
+        code, out = run([*base, "--xprec", "3"])
+        assert code == 0 and "xprec=3" in out
+    assert "xprec=4" in run(["suite", "weil", "--cases", "2", "--seed", "1"])[1]
+
+
+def test_generator_named_t_is_refused(capsys):
+    code, out = run(["symbol", "cc", "--ring", "F3[t]/(t^2)", "--f", "1 - t", "--g", "t"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err == "error: bad ring spec 'F3[t]/(t^2)': t is the series variable\n"
+
+
 def test_suite_report_file(tmp_path):
     target = tmp_path / "report.json"
     code, out = run(

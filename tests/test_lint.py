@@ -6,6 +6,9 @@ random generators.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -244,8 +247,8 @@ def test_kernel_factory_takes_ints_only():
         with pytest.raises(TypeError):
             _kernels(p, m)
     assert _kernels(3, STRAIGHT_LINE_ORDER + 1) == {}
-    assert set(_kernels(3, 2)) == {"add", "sub", "neg", "mul", "dot", "sweep"}
-    assert set(_kernels(0, 2)) == {"mul", "sweep"}
+    assert set(_kernels(3, 2)) == {"add", "sub", "neg", "mul", "dot", "sweep", "inv"}
+    assert set(_kernels(0, 2)) == {"mul", "sweep", "inv"}
 
 
 def _method(call):
@@ -394,3 +397,19 @@ def test_every_public_default_is_set_by_the_library():
     found = [(line, name) for line, name in _unset_defaults(tree) if name not in UNSET_DEFAULTS]
     assert not found, found
     assert set(UNSET_DEFAULTS) <= {name for _, name in _unset_defaults(tree)}, "stale allowlist"
+
+
+def test_import_loads_no_suites():
+    # the suites, random draws and CLI, and the json, dataclasses and inspect
+    # that only they need, load on first use: import ccsym compiles none of them
+    unwanted = ["ccsym.suites", "ccsym.randgen", "ccsym.cli", "dataclasses", "json", "inspect"]
+    code = f"import sys, ccsym; print([m for m in {unwanted!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(SOURCES[0].parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
+    import ccsym
+
+    assert {"Report", "SuiteConfig", "run_suite"} <= set(ccsym.__all__)
+    assert ccsym.run_suite is sys.modules["ccsym.suites"].run_suite

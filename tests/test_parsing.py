@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ccsym.errors import ParseError
+from ccsym.errors import CCSymError, ParseError
 from ccsym.forms import AOneForm, OneForm, TwoForm, res2
 from ccsym.parsing import (
     parse_element,
@@ -44,11 +44,22 @@ def test_parse_ring(spec, shown):
 
 @pytest.mark.parametrize(
     "bad",
-    ["F4", "Z/1", "Z/6", "Z/12", "F3[e]/(f^2)", "R", "Q[e]", "F1", "Z/5^0", "F3[e]/(e^0)"],
+    ["F4", "Z/1", "Z/6", "Z/12", "F3[e]/(f^2)", "R", "Q[e]", "F1", "Z/5^0", "F3[e]/(e^0)",
+     "F3[t]/(t^2)", "Q[t]/(t^3)"],
 )
 def test_parse_ring_rejects(bad):
     with pytest.raises(ParseError):
         parse_ring(bad)
+
+
+def test_series_variable_names_no_generator():
+    with pytest.raises(ParseError, match="t is the series variable"):
+        parse_ring("F3[t]/(t^2)")
+
+
+@pytest.mark.parametrize("spec", ["F5", "Q", "Z/25", "F3[e]/(e^2)", "Q[e]/(e^3)", "F7[x]/(x^4)"])
+def test_parse_ring_interns_each_spec(spec):
+    assert parse_ring(spec) is parse_ring(spec)
 
 
 def test_zmod_p_and_prime_field_are_one_ring():
@@ -338,3 +349,85 @@ def test_printed_values_read_back(spec):
               lambda y: (y.poles, _trimmed(y.tail)) == (w.poles, _trimmed(w.tail)))
     if spec == "Q[e]/(e^3)":  # the -1 coefficient that used to print as -1*e
         assert any("-e" in text for text in printed)
+
+
+# Each text's value (by its printer, O-term included) or its error class and
+# message, ParseError position included.  Recorded before exact values were
+# read as coefficient dicts; every case that path treats apart is here:
+# negative powers of unit, nilpotent and zero monomials, '/' by a monomial
+# and by a non-monomial, O-terms inside products and powers.
+GOLDEN = [
+    ('element', 'F3[e]/(e^2)', '2*e - 1', '2+2*e'),
+    ('element', 'Q[e]/(e^3)', '1/2 - 3*e^2', '1/2-3*e^2'),
+    ('element', 'F3[e]/(e^2)', 'e/(1 + e)', 'e'),
+    ('element', 'Z/9', '3^-1', 'NonUnit: 3 is not a unit of Z/9((t))'),
+    ('element', 'Q', '(2/3)^-2', '9/4'),
+    ('element', 'F5', '1/t', "ParseError: unknown symbol 't' (at position 2 in '1/t')"),
+    ('element', 'F3[e]/(e^2)', 'e^2 - 0', '0'),
+    ('series', 'F5', '-t^2 + --t - +3', '2+t+4*t^2'),
+    ('series', 'F5', '(2*t)^-2', '4*t^-2'),
+    ('series', 'F3[e]/(e^2)', '(2*t^-1)^-3 + e*t^(-2)', 'e*t^-2+2*t^3'),
+    ('series', 'F3[e]/(e^2)', '(e*t)^-2', 'NonUnit: e*t is not a unit of F3[e]/(e^2)((t))'),
+    ('series', 'F3[e]/(e^2)', 'e^-1', 'NonUnit: e is not a unit of F3[e]/(e^2)((t))'),
+    ('series', 'F5', '0^-1', 'NonUnit: 0 is not a unit of F5((t))'),
+    ('series', 'F5', '(0*t)^-3', 'NonUnit: 0 is not a unit of F5((t))'),
+    ('series', 'F5', '(t - t)^0 + (1 + t)^0', '2'),
+    ('series', 'F3[e]/(e^2)', '(1 + e*t)^3 - e*t^2', '1+2*e*t^2'),
+    ('series', 'Z/9', '(3*t)^2 + (3 + t)^2', '6*t+t^2'),
+    ('series', 'Q', '1/3*t^-1 + 1/2', '1/3*t^-1+1/2'),
+    ('series', 'F5', '1/(2*t^3) + t/t', '3*t^-3+1'),
+    ('series', 'F5', 't/(1 - t)', 't+t^2+t^3+t^4+t^5+t^6+t^7+t^8+t^9+t^10+t^11+t^12+t^13+t^14+t^15+t^16+t^17+t^18+t^19+t^20+t^21+t^22+t^23+t^24+O(t^25)'),
+    ('series', 'F3[e]/(e^2)', '1/(1 + e*t^-1)', '2*e*t^-1+1'),
+    ('series', 'F3[e]/(e^2)', '1/(e + e*t)', 'NonUnit: e+e*t is not a unit of F3[e]/(e^2)((t))'),
+    ('series', 'Q[e]/(e^2)', '(1 + t)^-2', '1-2*t+3*t^2-4*t^3+5*t^4-6*t^5+7*t^6-8*t^7+9*t^8-10*t^9+11*t^10-12*t^11+13*t^12-14*t^13+15*t^14-16*t^15+17*t^16-18*t^17+19*t^18-20*t^19+21*t^20-22*t^21+23*t^22-24*t^23+O(t^24)'),
+    ('series', 'F5', '(1 + t + O(t^3))^2', '1+2*t+t^2+O(t^3)'),
+    ('series', 'F5', '(2 + O(t^2)) * t^-1', '2*t^-1+O(t^1)'),
+    ('series', 'F5', '(1 + O(t))^-1', '1+O(t^1)'),
+    ('series', 'F5', 'O(t^2)^0 + O(t^-1)*0', '1'),
+    ('series', 'F3[e]/(e^2)', 'e*t^-1 + (1 + t)*(2 + O(t^4))', 'e*t^-1+2+2*t+O(t^4)'),
+    ('series', 'F3[e]/(e^2)', '(e + O(t))^-1', 'IndeterminateAtPrecision: all coefficients of e+O(t^1) below O(t^1) are nilpotent'),
+    ('series', 'F5', '1 + ', "ParseError: expected a value (at position 4 in '1 + ')"),
+    ('series', 'F5', 't^x', "ParseError: expected integer exponent (at position 2 in 't^x')"),
+    ('series', 'F5', 't^-(2)', "ParseError: expected integer exponent (at position 3 in 't^-(2)')"),
+    ('series', 'F5', '(1 + t', "ParseError: expected ')' (at position 6 in '(1 + t')"),
+    ('series', 'F5', '1 # 2', "ParseError: unexpected character (at position 2 in '1 # 2')"),
+    ('series', 'F3[e]/(e^2)', 'O(e^2)', "ParseError: O(...) needs the series variable (at position 2 in 'O(e^2)')"),
+    ('series', 'F5', 'y + 1', "ParseError: unknown symbol 'y' (at position 0 in 'y + 1')"),
+    ('rational', 'F5', '2 * (x - 1)^2 * x^-1', '2 * (x - 1)^2 * (x - 0)^-1'),
+    ('rational', 'F3[e]/(e^2)', '(1 + e) * (x - 1 + e) * (x + e)^-2', '(1+e) * (x - (1+2*e)) * (x - 2*e)^-2'),
+    ('rational', 'F5', '3 + 4 - 1/2', '4'),
+    ('rational', 'F5', '(x - 1) + 2', "ParseError: a sum around a linear factor (at position 8 in '(x - 1) + 2')"),
+    ('rational', 'F3[e]/(e^2)', 'e * x', 'NonUnit: the leading constant must be a unit of A'),
+    ('rational', 'F5', '2 * * x', "ParseError: empty factor (at position 4 in '2 * * x')"),
+    ('mhat', 'F3[x]/(x^2)', 'x^2 * (x*z^-3 + (1 + x)*z^-2 + 2*z^-1 + 2)', 'x^2 * (x*z^-3+(1+x)*z^-2+2*z^-1+2)'),
+    ('mhat', 'F3[x]/(x^3)', 'x^-1 * (z) + 1', 'NonUnit: x is not a unit of F3[x]/(x^3)((t))'),
+    ('mhat', 'F5[x]/(x^2)', '(x*z^-2 + 3*z^-1 + O(z^4))', '(x*z^-2+3*z^-1+O(z^4))'),
+    ('mhat', 'F5[x]/(x^2)', 'x * (x*z)', 'NonUnit: the z-series part must be a unit'),
+    ('form', 'F3[e]/(e^2)', 't*dt - e*t^-1*de', '(t)*dt + (0)*de'),
+    ('form', 'F3[e]/(e^2)', '(1 + O(t^3))*de^dt + t^-2*de^dt', '(t^-2+1+O(t^3))*de^dt'),
+    ('form', 'F3[e]/(e^2)', '0', '(0)*dt + (0)*de'),
+    ('form', 'F3[e]/(e^2)', 'dt + de^dt', "ParseError: mixed one-form and two-form terms (at position 0 in 'dt + de^dt')"),
+    ('form', 'F3[e]/(e^2)', 't*e', "ParseError: term has no dt/de marker (at position 0 in 't*e')"),
+    ('global', 'F3[e]/(e^2)', '(1 + e)*de/(x - 1)^2 - de/(x - 1) + 2*de*x^2 + e*de', 'de/(x - 1)^2+2*de/(x - 1)+2*de*x^2'),
+    ('global', 'F3[e]/(e^2)', 'de/(x - e) + t*de', "ParseError: unknown symbol 't' (at position 13 in 'de/(x - e) + t*de')"),
+    ('global', 'F3[e]/(e^2)', 'de*x^-1', "ParseError: expected a tail power x^j, j >= 0 (at position 0 in 'de*x^-1')"),
+]
+
+_GOLDEN_PARSERS = {
+    "element": lambda ring, text: ring.format_element(parse_element(ring, text)),
+    "series": parse_series,
+    "rational": parse_rational_function,
+    "mhat": parse_mhat,
+    "form": parse_form,
+    "global": parse_global_two_form,
+}
+
+
+@pytest.mark.parametrize("kind, spec, text, shown", GOLDEN)
+def test_golden_parse_table(kind, spec, text, shown):
+    ring = parse_ring(spec)
+    try:
+        value = _GOLDEN_PARSERS[kind](ring, text)
+    except CCSymError as exc:
+        value = f"{type(exc).__name__}: {exc}"
+    assert (value if isinstance(value, str) else value.format()) == shown

@@ -437,6 +437,34 @@ def test_sweep_matches_the_loop(spec):
 
 
 @pytest.mark.parametrize(
+    "spec, every",
+    [("F2[e]/(e^4)", True), ("F3[e]/(e^3)", True), ("F7[e]/(e^2)", True),
+     ("Q[e]/(e^2)", False), ("Q[e]/(e^3)", False), (f"F7[e]/(e^{BOUND + 1})", False)],
+)
+def test_inv_matches_the_back_substitution(spec, every):
+    # the ring's inv (generated up to the bound, else its class's) against the
+    # class's back-substitution, on every unit of a small ring or on random
+    # units, and with the class's NonUnit message on a nilpotent
+    ring = parse_ring(spec)
+    back = type(ring).inv
+    assert ("inv" in vars(ring)) == (ring.width <= BOUND)
+    rng = random.Random(f"inv:{spec}")
+    if every:
+        units = [x for x in ring.iter_elements() if ring.is_unit(x)]
+    else:
+        units = [ring.random_unit(rng) for _ in range(300)]
+    for x in units:
+        assert ring.inv(x) == back(ring, x), (spec, x)
+        assert ring.mul(x, ring.inv(x)) == ring.one
+    for x in (ring.zero, ring.generator(), ring.random_nilpotent(rng)):
+        with pytest.raises(NonUnit) as got:
+            ring.inv(x)
+        with pytest.raises(NonUnit) as want:
+            back(ring, x)
+        assert str(got.value) == str(want.value) != ""
+
+
+@pytest.mark.parametrize(
     "spec",
     ["F3[e]/(e^2)", "F2[e]/(e^33)", "Z/25", "F5", "Q", "Q[e]/(e^3)", "Q[e]/(e^33)"],
 )
